@@ -2,7 +2,8 @@
 
 On *injective* instances (no label repeats anywhere) the packing and
 covering optima coincide, and both drop out of one max-flow computation on
-a time-expanded network — no product-digraph search needed.
+a time-expanded network — the paths from the flow, the cut from its
+residual graph — with no product-digraph search needed.
 """
 
 from tgmenger.core import TemporalGraph

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Every decision subcommand exits 0 for *yes* and 1 for *no*; malformed
-input exits 2 and a blown search budget exits 3.  ``--report FILE`` dumps
-a machine-readable record of the run (instance, question, answer,
-witness, wall time, work counters) next to the human-readable output.
+input exits 2 and a blown search budget exits 3.  Any other error is
+printed as ``error: ...`` on stderr and exits 4, so a crash is never
+mistaken for an answer.  ``--report FILE`` dumps a machine-readable
+record of the run (instance, question, answer, witness, wall time, work
+counters) next to the human-readable output.
 
 The ``--graph`` argument takes either a path (JSON document or
 whitespace edge list, sniffed) or the name of a bundled fixture such as
@@ -111,21 +113,18 @@ def cmd_paths(args) -> int:
 def _cut_command(args, kind: str) -> int:
     g, s, z, name = _load_instance(args)
     if kind == "snapshot":
-        cand = cuts.candidate_labels(g, s, z)
         run = cuts.snapshot_cut_at_most
         noun = "snapshots"
     else:
-        cand = cuts.candidate_multiedges(g, s, z)
         run = cuts.multiedge_cut_at_most
         noun = "multiedges"
-    bound = cuts._subset_bound(len(cand), min(args.k, len(cand)))
-    print(
-        f"{len(cand)} candidate {noun}; checking at most {bound} subsets "
-        f"(budget {args.budget})"
-    )
     started = time.perf_counter()
     res = run(g, s, z, args.k, budget=args.budget, threads=args.threads)
     elapsed = time.perf_counter() - started
+    print(
+        f"{len(res.candidates)} candidate {noun}; checking at most "
+        f"{res.subset_bound} subsets (budget {args.budget})"
+    )
     print(f"{kind} cut of size <= {args.k}: {_yesno(res.found)}")
     witness = None
     if res.found:
@@ -152,7 +151,7 @@ def _cut_command(args, kind: str) -> int:
             "elapsed": elapsed,
             "budget_used": {
                 "engine": res.engine,
-                "candidates": len(cand),
+                "candidates": len(res.candidates),
                 "subsets_checked": res.subsets_checked,
                 "subset_bound": res.subset_bound,
                 "budget": args.budget,
@@ -485,6 +484,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -435,32 +435,40 @@ def enumerate_paths(
         raise UnknownVertex(z)
     if s == z:
         return [TemporalWalk((s,), ())]
+
+    def by_eid(v: Vertex) -> Iterator:
+        return iter(sorted(g.incident(v), key=lambda e: token_key(e.eid)))
+
+    # An explicit stack of (vertex, label floor, edge iterator) frames
+    # keeps long paths from exhausting the interpreter's recursion limit.
     out: list = []
     vpath = [s]
     epath: list = []
     used = {s}
-
-    def extend(cur: Vertex, floor: int):
-        for e in sorted(g.incident(cur), key=lambda e: token_key(e.eid)):
+    stack = [(s, 0, by_eid(s))]
+    while stack:
+        cur, floor, edges = stack[-1]
+        for e in edges:
             if e.t < floor:
                 continue
             nxt = e.other(cur)
             if nxt in used:
                 continue
-            vpath.append(nxt)
-            epath.append(e)
             if nxt == z:
-                out.append(TemporalWalk(tuple(vpath), tuple(epath)))
+                out.append(TemporalWalk(tuple(vpath) + (z,), tuple(epath) + (e,)))
                 if limit is not None and len(out) > limit:
                     raise LimitExceeded(limit, "temporal paths")
-            else:
-                used.add(nxt)
-                extend(nxt, e.t)
-                used.discard(nxt)
-            vpath.pop()
-            epath.pop()
-
-    extend(s, 0)
+                continue
+            vpath.append(nxt)
+            epath.append(e)
+            used.add(nxt)
+            stack.append((nxt, e.t, by_eid(nxt)))
+            break
+        else:
+            stack.pop()
+            if epath:
+                used.discard(vpath.pop())
+                epath.pop()
     return out
 
 

@@ -2,26 +2,31 @@
 
 When no label repeats, snapshot-disjointness degenerates to edge-
 disjointness, and both the packing and the covering collapse to a classic
-max-flow/min-cut pair on a time-expanded network: one layer per label,
-waiting arcs between consecutive layers, and a unit-capacity inner arc per
-edge (undirected edges become a small in/out gadget usable from either
-endpoint).  The same network without the injectivity requirement computes
+max-flow/min-cut pair on a time-expanded network (Ford–Fulkerson 1958;
+Berman's edge-disjoint temporal Menger theorem, Networks 1996).  The
+network is compressed: a vertex gets one node per label at which it has
+an incident edge, chained in label order by waiting arcs, and every edge
+is a unit-capacity inner arc that either endpoint enters and leaves at
+the edge's label.  That is at most ``2 + 4m`` nodes, independent of the
+lifetime.  The same network without the injectivity requirement computes
 the maximum number of pairwise edge-disjoint temporal paths of an
 arbitrary temporal graph.
 
-networkx's Edmonds–Karp implementation does the flow work; this module
-owns the network shape, the deterministic walk decomposition, and the
-translation of the minimum cut back into time labels.
+networkx's Edmonds–Karp implementation does the flow work, once per
+call; this module owns the network shape, the deterministic walk
+decomposition, and the minimum cut read off the flow's residual graph
+and translated back into time labels.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .core import TemporalGraph, TemporalWalk, reachable
+from .core import TemporalGraph, TemporalWalk, reachable, token_key
 from .errors import MalformedInput, NotInjective, UnknownVertex
 
 _SRC = ("src",)
@@ -53,25 +58,47 @@ def _check(g: TemporalGraph, s, z):
         raise MalformedInput("terminals must be distinct")
 
 
-def _expanded_network(g: TemporalGraph, s, z) -> tuple:
-    layers = sorted(g.labels)
-    index = {t: i for i, t in enumerate(layers)}
+def _expanded_network(g: TemporalGraph, s, z) -> nx.DiGraph:
+    times: dict = {}
+    for e in g.edges:
+        times.setdefault(e.u, set()).add(e.t)
+        times.setdefault(e.v, set()).add(e.t)
     big = len(g.edges) + 1
     net = nx.DiGraph()
-    net.add_edge(_SRC, ("v", s, 0), capacity=big)
-    for x in sorted(g.vertices, key=str):
-        for i in range(len(layers) - 1):
-            net.add_edge(("v", x, i), ("v", x, i + 1), capacity=big)
-    for i in range(len(layers)):
-        net.add_edge(("v", z, i), _SNK, capacity=big)
+    net.add_edge(_SRC, ("v", s, min(times[s])), capacity=big)
+    for x in sorted(times, key=token_key):
+        ts = sorted(times[x])
+        for a, b in zip(ts, ts[1:]):
+            net.add_edge(("v", x, a), ("v", x, b), capacity=big)
+    for t in sorted(times[z]):
+        net.add_edge(("v", z, t), _SNK, capacity=big)
     for e in g.sorted_edges():
-        i = index[e.t]
         inn, out = ("in", e.eid), ("out", e.eid)
         net.add_edge(inn, out, capacity=1)
         for x in (e.u, e.v):
-            net.add_edge(("v", x, i), inn, capacity=big)
-            net.add_edge(out, ("v", x, i), capacity=big)
-    return net, index
+            net.add_edge(("v", x, e.t), inn, capacity=big)
+            net.add_edge(out, ("v", x, e.t), capacity=big)
+    return net
+
+
+def _residual_source_side(net, flow_dict) -> set:
+    """Nodes reachable from the source in the residual graph of a maximum
+    flow: along arcs with spare capacity, and backwards along arcs that
+    carry flow.  Every arc leaving this set is saturated, so it is the
+    source side of a minimum cut."""
+    side = {_SRC}
+    queue = deque(side)
+    while queue:
+        u = queue.popleft()
+        for v, attr in net.succ[u].items():
+            if v not in side and flow_dict[u][v] < attr["capacity"]:
+                side.add(v)
+                queue.append(v)
+        for v in net.pred[u]:
+            if v not in side and flow_dict[v][u] > 0:
+                side.add(v)
+                queue.append(v)
+    return side
 
 
 def _trace_units(net, flow_dict, value: int, g: TemporalGraph) -> list:
@@ -139,7 +166,7 @@ def max_edge_disjoint_paths(g: TemporalGraph, s, z) -> EdgeDisjointResult:
     _check(g, s, z)
     if reachable(g, s, z) is None:
         return EdgeDisjointResult(0, ())
-    net, _ = _expanded_network(g, s, z)
+    net = _expanded_network(g, s, z)
     value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)
     walks = _trace_units(net, flow_dict, value, g)
     family = tuple(_shortcut(w) for w in walks)
@@ -154,9 +181,10 @@ def max_edge_disjoint_paths(g: TemporalGraph, s, z) -> EdgeDisjointResult:
 def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
     """Packing = covering for an injective instance, with both witnesses.
 
-    Raises :class:`NotInjective` if any label repeats.  The family comes
-    from the flow decomposition; the cut collects the labels of the edges
-    whose unit arcs cross the minimum cut (all crossings are unit arcs
+    Raises :class:`NotInjective` if any label repeats.  One maximum flow
+    gives both: the family comes from its decomposition, and the cut
+    collects the labels of the edges whose unit arcs leave the part of the
+    residual graph reachable from the source (all crossings are unit arcs
     because every other arc's capacity exceeds the flow value).
     """
     _check(g, s, z)
@@ -167,14 +195,12 @@ def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
         seen.add(e.t)
     if reachable(g, s, z) is None:
         return InjectiveResult(0, (), frozenset())
-    net, _ = _expanded_network(g, s, z)
+    net = _expanded_network(g, s, z)
     value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)
     walks = _trace_units(net, flow_dict, value, g)
     family = tuple(_shortcut(w) for w in walks)
-    cut_value, (side_s, side_t) = nx.minimum_cut(net, _SRC, _SNK, flow_func=edmonds_karp)
-    assert cut_value == value
+    side_s = _residual_source_side(net, flow_dict)
     labels = set()
-    side_s = set(side_s)
     for u in side_s:
         for v in net[u]:
             if v not in side_s:

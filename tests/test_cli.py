@@ -80,6 +80,20 @@ class TestCuts:
         code, out, _ = run(capsys, "cut", "-g", "demo", "-k", "1")
         assert code == 1
 
+    def test_bound_line_comes_from_the_result(self, capsys):
+        code, out, _ = run(capsys, "cut", "-g", "demo", "-k", "2")
+        assert code == 0
+        assert "4 candidate snapshots; checking at most 11 subsets" in out
+
+    def test_long_path(self, capsys, tmp_path):
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1} {i + 1}\n" for i in range(1200)))
+        code, out, _ = run(
+            capsys, "cut", "-g", str(path), "-s", "0", "-z", "1200", "-k", "60"
+        )
+        assert code == 0
+        assert "remove snapshots [1]" in out
+
     def test_mcut_witness(self, capsys, tmp_path):
         report = tmp_path / "mcut.json"
         code, out, _ = run(
@@ -133,6 +147,18 @@ class TestFlow:
         assert code == 1
         code, _, _ = run(capsys, *args, "-k", "2")
         assert code == 0
+
+
+class TestUnexpectedErrors:
+    def test_crash_is_not_a_no(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setattr(cli.cuts, "snapshot_cut_at_most", crash)
+        code, _, err = run(capsys, "cut", "-g", "demo", "-k", "2")
+        assert code == 4
+        assert err.startswith("error:")
+        assert "solver broke" in err
 
 
 class TestMengerian:

@@ -178,6 +178,13 @@ class TestTraversal:
         with pytest.raises(LimitExceeded):
             enumerate_paths(demo.graph, "s", "z", limit=2)
 
+    def test_enumerate_paths_long_path(self):
+        # deeper than the interpreter's default recursion limit
+        g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])
+        (path,) = enumerate_paths(g, 0, 1200)
+        assert path.vertices == tuple(range(1201))
+        assert path.labels == tuple(range(1, 1201))
+
 
 class TestMGraph:
     def test_accumulates_and_canonicalizes(self):

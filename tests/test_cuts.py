@@ -82,6 +82,13 @@ class TestSnapshotCut:
         assert cuts._subset_bound(0, 2) == 1
 
 
+    def test_long_path_does_not_recurse(self):
+        g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])
+        res = cuts.min_snapshot_cut(g, 0, 1200)
+        assert res.value == 1
+        assert res.labels == frozenset({1})
+
+
 class TestMultiedgeCut:
     def test_demo(self, demo):
         res = cuts.min_multiedge_cut(demo.graph, demo.s, demo.z)

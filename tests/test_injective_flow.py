@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_temporal_graph, terminals
+from tgmenger import injective_flow
 from tgmenger.core import TemporalGraph
 from tgmenger.cuts import is_snapshot_cut
 from tgmenger.errors import NotInjective
@@ -26,6 +27,48 @@ def relabel_injectively(g: TemporalGraph) -> TemporalGraph:
         fresh[e.eid] = len(fresh) + 1
         edges.append((e.eid, e.u, e.v, fresh[e.eid]))
     return TemporalGraph(edges, vertices=g.vertices)
+
+
+def record_flow_networks(monkeypatch) -> list:
+    """Wrap the module's ``nx.maximum_flow`` and collect every network it
+    is handed."""
+    seen = []
+    solve = injective_flow.nx.maximum_flow
+
+    def recording(net, *args, **kwargs):
+        seen.append(net)
+        return solve(net, *args, **kwargs)
+
+    monkeypatch.setattr(injective_flow.nx, "maximum_flow", recording)
+    return seen
+
+
+class TestNetwork:
+    def test_size_does_not_depend_on_the_lifetime(self, monkeypatch, demo):
+        seen = record_flow_networks(monkeypatch)
+        stretched = TemporalGraph(
+            [(e.eid, e.u, e.v, 1000 * e.t) for e in demo.graph.edges]
+        )
+        short = max_edge_disjoint_paths(demo.graph, "s", "z")
+        long = max_edge_disjoint_paths(stretched, "s", "z")
+        assert short.value == long.value
+        small, large = seen
+        assert small.number_of_nodes() == large.number_of_nodes()
+        assert small.number_of_nodes() <= 2 + 4 * len(demo.graph.edges)
+
+    def test_one_flow_and_no_separate_cut(self, monkeypatch):
+        seen = record_flow_networks(monkeypatch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimum_cut must not run")
+
+        monkeypatch.setattr(injective_flow.nx, "minimum_cut", forbidden)
+        g = TemporalGraph(
+            [(0, "s", "a", 1), (1, "a", "z", 3), (2, "s", "b", 2), (3, "b", "z", 4)]
+        )
+        res = injective_connectivity(g, "s", "z")
+        assert res.value == 2 and len(res.cut_labels) == 2
+        assert len(seen) == 1
 
 
 class TestEdgeDisjoint:
