@@ -22,7 +22,7 @@ import time
 
 from . import cuts, disjoint_paths, formats, gadgets, injective_flow, oracles
 from .core import token_key
-from .errors import BudgetExceeded, LimitExceeded, MalformedInput
+from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 from .fixtures import fixture_names, get_fixture
 from .mengerian import bad_labeling_for, extend_bad_labeling, recognize
 
@@ -79,9 +79,7 @@ def cmd_paths(args) -> int:
         f"(budget {args.budget})"
     )
     started = time.perf_counter()
-    res = disjoint_paths.max_snapshot_disjoint(
-        g, s, z, args.k, budget=args.budget, threads=args.threads
-    )
+    res = disjoint_paths.max_snapshot_disjoint(g, s, z, args.k, budget=args.budget)
     elapsed = time.perf_counter() - started
     print(f"{args.k} snapshot-disjoint {s}-{z} paths: {_yesno(res.found)}")
     for walk in res.family:
@@ -119,7 +117,7 @@ def _cut_command(args, kind: str) -> int:
         run = cuts.multiedge_cut_at_most
         noun = "multiedges"
     started = time.perf_counter()
-    res = run(g, s, z, args.k, budget=args.budget, threads=args.threads)
+    res = run(g, s, z, args.k, budget=args.budget)
     elapsed = time.perf_counter() - started
     print(
         f"{len(res.candidates)} candidate {noun}; checking at most "
@@ -395,10 +393,8 @@ def _add_instance_args(p, terminals=True):
 
 
 def _add_budget_args(p):
-    p.add_argument("--budget", type=int, default=cuts.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="abort if the search space exceeds this many states")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the search loops")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", action="store_true",
                    help="draw the k-tuple search digraph instead of the graph")
     p.add_argument("-k", type=int, default=2, help="tuple width for --product")
-    p.add_argument("--budget", type=int, default=cuts.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--highlight-labels",
                    help="comma-separated labels to draw in red")
     p.set_defaults(run=cmd_export_dot)

@@ -182,8 +182,10 @@ class TemporalGraph:
 
     # -- restricted views --------------------------------------------------
 
-    def without_labels(self, labels: Iterable[int]) -> "FilteredGraph":
-        return FilteredGraph(self, labels)
+    def without_labels(self, labels: Iterable[int]) -> "TemporalGraph":
+        removed = frozenset(labels)
+        keep = [e for e in self.edges if e.t not in removed]
+        return TemporalGraph(keep, vertices=self.vertices)
 
     def without_multiedges(self, pairs: Iterable[tuple]) -> "TemporalGraph":
         dropped = {link_key(*p) for p in pairs}
@@ -198,22 +200,6 @@ class TemporalGraph:
             f"TemporalGraph(vertices={len(self.vertices)}, edges={len(self.edges)}, "
             f"lifetime={self.lifetime})"
         )
-
-
-class FilteredGraph(TemporalGraph):
-    """A temporal graph with every edge at certain labels removed.
-
-    Keeps a handle on the unfiltered ``source`` and the ``removed_labels``
-    so cut witnesses can explain themselves.
-    """
-
-    def __init__(self, source: TemporalGraph, removed_labels: Iterable[int]):
-        removed = frozenset(removed_labels)
-        super().__init__(
-            (e for e in source.edges if e.t not in removed), vertices=source.vertices
-        )
-        self.source = source
-        self.removed_labels = removed
 
 
 @dataclass(frozen=True)
@@ -341,12 +327,11 @@ def walk_from_labels(g: TemporalGraph, sequence: Sequence) -> TemporalWalk:
 # -- time-respecting reachability ------------------------------------------
 
 
-def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
-    """Earliest label at which each vertex is reachable from *s* (0 for *s*
-    itself; unreachable vertices are absent)."""
-    if s not in g.vertices:
-        raise UnknownVertex(s)
+def _arrivals(g: TemporalGraph, s: Vertex) -> tuple:
+    """Forward sweep from *s*: the earliest-arrival map and, for every other
+    vertex reached, the edge it was first reached by."""
     ea = {s: 0}
+    parent: dict = {}
     for t in sorted(g.labels):
         snap = g.snapshot(t)
         # Within one snapshot several hops at the same label may chain, so
@@ -358,8 +343,17 @@ def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
                 for a, b in ((e.u, e.v), (e.v, e.u)):
                     if ea.get(a, INF) <= t and ea.get(b, INF) > t:
                         ea[b] = t
+                        parent[b] = e
                         changed = True
-    return ea
+    return ea, parent
+
+
+def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
+    """Earliest label at which each vertex is reachable from *s* (0 for *s*
+    itself; unreachable vertices are absent)."""
+    if s not in g.vertices:
+        raise UnknownVertex(s)
+    return _arrivals(g, s)[0]
 
 
 def latest_departure(g: TemporalGraph, z: Vertex) -> dict:
@@ -393,19 +387,7 @@ def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
         raise UnknownVertex(z)
     if s == z:
         return TemporalWalk((s,), ())
-    ea = {s: 0}
-    parent: dict = {}
-    for t in sorted(g.labels):
-        snap = g.snapshot(t)
-        changed = True
-        while changed:
-            changed = False
-            for e in snap:
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if ea.get(a, INF) <= t and ea.get(b, INF) > t:
-                        ea[b] = t
-                        parent[b] = e
-                        changed = True
+    ea, parent = _arrivals(g, s)
     if z not in ea:
         return None
     rv = [z]
@@ -514,10 +496,6 @@ class MGraph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         self._nbrs = {v: tuple(sorted(ns, key=token_key)) for v, ns in nbrs.items()}
-
-    @classmethod
-    def from_temporal(cls, g: TemporalGraph) -> "MGraph":
-        return g.underlying()
 
     # -- access -----------------------------------------------------------
 
@@ -689,11 +667,14 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
     def paths_between(a: Vertex, b: Vertex, mult: int, banned: frozenset) -> Iterator[tuple]:
         """Simple host a,b-paths avoiding ``banned`` internally, using only
         links of multiplicity >= mult."""
+        # One neighbour iterator per trail vertex, as in enumerate_paths, so
+        # long host paths do not exhaust the interpreter's recursion limit.
         trail = [a]
         on_trail = {a}
-
-        def go(cur: Vertex) -> Iterator[tuple]:
-            for w in host.neighbors(cur):
+        stack = [iter(host.neighbors(a))]
+        while stack:
+            cur = trail[-1]
+            for w in stack[-1]:
                 if host.multiplicity(cur, w) < mult:
                     continue
                 if w == b:
@@ -703,11 +684,11 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
                     continue
                 trail.append(w)
                 on_trail.add(w)
-                yield from go(w)
-                trail.pop()
-                on_trail.discard(w)
-
-        return go(a)
+                stack.append(iter(host.neighbors(w)))
+                break
+            else:
+                stack.pop()
+                on_trail.discard(trail.pop())
 
     def embed_links(i: int, vmap: dict, internals: frozenset) -> Optional[dict]:
         if i == len(p_links):

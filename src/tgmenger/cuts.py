@@ -16,19 +16,20 @@ Two engines produce provably identical answers:
 A subset cuts the graph iff it hits every path, and minimal cuts only use
 candidate labels, so both engines return the lexicographically least
 minimum-size witness.  The enumeration engine is preferred while its
-subset count stays small; the hitting engine takes over when paths are
-enumerable; otherwise enumeration runs anyway if it fits in the caller's
-budget, and :class:`BudgetExceeded` is raised if nothing fits.
+subset count stays small and within the caller's budget; otherwise the
+hitting engine takes over when paths are enumerable, and enumeration
+runs anyway if it fits in the budget.  ``budget`` caps both engines: a
+subset count above it is refused before enumeration starts, and the
+hitting engine stops once it has visited more search nodes than that.
+Either way :class:`BudgetExceeded` is raised.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     TemporalGraph,
@@ -38,9 +39,14 @@ from .core import (
     reachable,
     token_key,
 )
-from .errors import BudgetExceeded, LimitExceeded, MalformedInput, UnknownVertex
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    LimitExceeded,
+    MalformedInput,
+    UnknownVertex,
+)
 
-DEFAULT_BUDGET = 10_000_000
 ENUMERATION_THRESHOLD = 50_000
 PATH_LIMIT = 200_000
 
@@ -98,9 +104,9 @@ def _check_terminals(g: TemporalGraph, s, z):
         raise MalformedInput("terminals must be distinct")
 
 
-def candidate_labels(g: TemporalGraph, s, z) -> tuple:
-    """Labels that can appear on some temporal s,z-walk, hence the only
-    labels a minimal cut can use.
+def _useful_edges(g: TemporalGraph, s, z) -> list:
+    """Edges that lie on some temporal s,z-walk, hence the only edges a
+    minimal cut can use.
 
     An edge uv at time t lies on such a walk iff one endpoint is reachable
     from s by time t and the other can still reach z from time t on.
@@ -108,13 +114,19 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
     _check_terminals(g, s, z)
     ea = earliest_arrival(g, s)
     ld = latest_departure(g, z)
-    useful = set()
+    useful = []
     for e in g.edges:
         for a, b in ((e.u, e.v), (e.v, e.u)):
             if ea.get(a, math.inf) <= e.t and ld.get(b, -math.inf) >= e.t:
-                useful.add(e.t)
+                useful.append(e)
                 break
-    return tuple(sorted(useful))
+    return useful
+
+
+def candidate_labels(g: TemporalGraph, s, z) -> tuple:
+    """Labels that can appear on some temporal s,z-walk, hence the only
+    labels a minimal cut can use."""
+    return tuple(sorted({e.t for e in _useful_edges(g, s, z)}))
 
 
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
@@ -126,15 +138,7 @@ def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
 def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
     """Multiedges (as canonical vertex pairs) that can appear on some
     temporal s,z-walk."""
-    _check_terminals(g, s, z)
-    ea = earliest_arrival(g, s)
-    ld = latest_departure(g, z)
-    useful = set()
-    for e in g.edges:
-        for a, b in ((e.u, e.v), (e.v, e.u)):
-            if ea.get(a, math.inf) <= e.t and ld.get(b, -math.inf) >= e.t:
-                useful.add(e.pair)
-                break
+    useful = {e.pair for e in _useful_edges(g, s, z)}
     return tuple(sorted(useful, key=lambda pr: (token_key(pr[0]), token_key(pr[1]))))
 
 
@@ -151,51 +155,15 @@ def _subset_bound(n: int, h: int) -> int:
 # -- the two engines ------------------------------------------------------------
 
 
-def _enumerate_engine(candidates, sizes, is_cut, threads: int):
+def _enumerate_engine(candidates, sizes, is_cut):
     """(size, lex)-ordered subset enumeration; returns (witness or None,
     subsets checked)."""
     checked = 0
-    if threads <= 1:
-        for size in sizes:
-            for combo in itertools.combinations(candidates, size):
-                checked += 1
-                if is_cut(combo):
-                    return frozenset(combo), checked
-        return None, checked
-
-    chunk = 256
-    window = threads * 4
-
-    def eat(combos):
-        for combo in combos:
+    for size in sizes:
+        for combo in itertools.combinations(candidates, size):
+            checked += 1
             if is_cut(combo):
-                return combo
-        return None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for size in sizes:
-            combos = itertools.combinations(candidates, size)
-            pending: deque = deque()
-
-            def refill():
-                while len(pending) < window:
-                    batch = list(itertools.islice(combos, chunk))
-                    if not batch:
-                        return
-                    pending.append((batch, pool.submit(eat, batch)))
-
-            refill()
-            # Batches are drained strictly in submission order, so the
-            # first hit in the earliest batch wins and the witness matches
-            # a serial run.
-            while pending:
-                batch, fut = pending.popleft()
-                hit = fut.result()
-                if hit is not None:
-                    checked += batch.index(hit) + 1
-                    return frozenset(hit), checked
-                checked += len(batch)
-                refill()
+                return frozenset(combo), checked
     return None, checked
 
 
@@ -212,9 +180,10 @@ def _path_masks(paths, candidates) -> list:
     return [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
 
-def _hitting_engine(candidates, sizes, masks):
+def _hitting_engine(candidates, sizes, masks, budget):
     """Lexicographically least minimum hitting set among the given sizes;
-    returns (witness or None, nodes visited)."""
+    returns (witness or None, nodes visited).  Raises
+    :class:`BudgetExceeded` once more than *budget* nodes are visited."""
     visited = 0
 
     def lower_bound(remaining) -> int:
@@ -234,6 +203,8 @@ def _hitting_engine(candidates, sizes, masks):
             return None
         for i in range(start, len(candidates) - left + 1):
             visited += 1
+            if visited > budget:
+                raise BudgetExceeded(visited, budget, "cut hitting-set search")
             bit = 1 << i
             chosen.append(candidates[i])
             hit = go(i + 1, left - 1, chosen, [m for m in remaining if not m & bit])
@@ -253,116 +224,91 @@ def _hitting_engine(candidates, sizes, masks):
     return None, visited
 
 
-def _dual_engine_search(
-    g, s, z, candidates, max_size, budget, threads, is_cut, path_sets
-):
-    """Shared engine selection for cut searches.
+def _cut_search(g, s, z, h, budget, candidates_of, is_cut, path_set):
+    """The steps all four cut searches share: validate, answer the empty
+    cut when *z* is already unreachable, then pick an engine and run it
+    over the candidates.  ``h=None`` asks for a minimum cut.
 
-    Returns (witness or None, checked, subset_bound, engine).
+    Returns (witness or None, candidates, checked, subset_bound, engine).
     """
-    sizes = range(0, min(max_size, len(candidates)) + 1)
-    bound = _subset_bound(len(candidates), max_size)
-    if bound <= ENUMERATION_THRESHOLD:
-        witness, checked = _enumerate_engine(candidates, sizes, is_cut, threads)
-        return witness, checked, bound, "enumeration"
-    try:
-        paths = enumerate_paths(g, s, z, limit=PATH_LIMIT)
-    except LimitExceeded:
-        paths = None
+    if h is not None and h < 0:
+        raise MalformedInput("cut size bound must be >= 0")
+    _check_terminals(g, s, z)
+    if reachable(g, s, z) is None:
+        return frozenset(), (), 0, 1, "enumeration"
+    cand = candidates_of(g, s, z)
+    max_size = len(cand) if h is None else h
+    sizes = range(0, min(max_size, len(cand)) + 1)
+    bound = _subset_bound(len(cand), max_size)
+
+    def separates(combo) -> bool:
+        return is_cut(g, s, z, combo)
+
+    paths = None
+    if bound > min(ENUMERATION_THRESHOLD, budget):
+        # Too many subsets to enumerate cheaply: hit the s,z-paths instead
+        # if there are few enough of them to list.
+        try:
+            paths = enumerate_paths(g, s, z, limit=PATH_LIMIT)
+        except LimitExceeded:
+            pass
     if paths is not None:
-        masks = _path_masks((path_sets(p) for p in paths), candidates)
-        witness, checked = _hitting_engine(candidates, sizes, masks)
-        return witness, checked, bound, "hitting"
-    if bound <= budget:
-        witness, checked = _enumerate_engine(candidates, sizes, is_cut, threads)
-        return witness, checked, bound, "enumeration"
-    raise BudgetExceeded(bound, budget, "cut subset enumeration")
+        masks = _path_masks((path_set(p) for p in paths), cand)
+        witness, checked = _hitting_engine(cand, sizes, masks, budget)
+        engine = "hitting"
+    elif bound <= budget:
+        witness, checked = _enumerate_engine(cand, sizes, separates)
+        engine = "enumeration"
+    else:
+        raise BudgetExceeded(bound, budget, "cut subset enumeration")
+    assert h is not None or witness is not None, "the full candidate set must be a cut"
+    return witness, cand, checked, bound, engine
 
 
 # -- public operations -----------------------------------------------------------
 
 
 def snapshot_cut_at_most(
-    g: TemporalGraph,
-    s,
-    z,
-    h: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    g: TemporalGraph, s, z, h: int, budget: int = DEFAULT_BUDGET
 ) -> CutResult:
     """Is there a snapshot cut of size at most *h*?  Witness is the
     lexicographically least minimum-size one if so."""
-    if h < 0:
-        raise MalformedInput("cut size bound must be >= 0")
-    _check_terminals(g, s, z)
-    if reachable(g, s, z) is None:
-        return CutResult(True, frozenset(), h, (), 0, 1, "enumeration")
-    cand = candidate_labels(g, s, z)
-    witness, checked, bound, engine = _dual_engine_search(
-        g, s, z, cand, h, budget, threads,
-        lambda combo: is_snapshot_cut(g, s, z, combo),
-        lambda p: p.label_set,
+    witness, *work = _cut_search(
+        g, s, z, h, budget, candidate_labels, is_snapshot_cut, lambda p: p.label_set
     )
-    return CutResult(witness is not None, witness, h, cand, checked, bound, engine)
+    return CutResult(witness is not None, witness, h, *work)
 
 
 def min_snapshot_cut(
-    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET, threads: int = 1
+    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET
 ) -> MinCutResult:
     """Exact minimum snapshot cut with the lexicographically least witness.
 
     Always terminates: the candidate label set itself is a cut.
     """
-    _check_terminals(g, s, z)
-    if reachable(g, s, z) is None:
-        return MinCutResult(0, frozenset(), (), 0, 1, "enumeration")
-    cand = candidate_labels(g, s, z)
-    witness, checked, bound, engine = _dual_engine_search(
-        g, s, z, cand, len(cand), budget, threads,
-        lambda combo: is_snapshot_cut(g, s, z, combo),
-        lambda p: p.label_set,
+    witness, *work = _cut_search(
+        g, s, z, None, budget, candidate_labels, is_snapshot_cut, lambda p: p.label_set
     )
-    assert witness is not None, "the full candidate set must be a cut"
-    return MinCutResult(len(witness), witness, cand, checked, bound, engine)
+    return MinCutResult(len(witness), witness, *work)
 
 
 def multiedge_cut_at_most(
-    g: TemporalGraph,
-    s,
-    z,
-    h: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    g: TemporalGraph, s, z, h: int, budget: int = DEFAULT_BUDGET
 ) -> MultiedgeCutResult:
     """Is there a multiedge cut of size at most *h*?"""
-    if h < 0:
-        raise MalformedInput("cut size bound must be >= 0")
-    _check_terminals(g, s, z)
-    if reachable(g, s, z) is None:
-        return MultiedgeCutResult(True, frozenset(), h, (), 0, 1, "enumeration")
-    cand = candidate_multiedges(g, s, z)
-    witness, checked, bound, engine = _dual_engine_search(
-        g, s, z, cand, h, budget, threads,
-        lambda combo: is_multiedge_cut(g, s, z, combo),
+    witness, *work = _cut_search(
+        g, s, z, h, budget, candidate_multiedges, is_multiedge_cut,
         lambda p: p.multiedge_pairs,
     )
-    return MultiedgeCutResult(
-        witness is not None, witness, h, cand, checked, bound, engine
-    )
+    return MultiedgeCutResult(witness is not None, witness, h, *work)
 
 
 def min_multiedge_cut(
-    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET, threads: int = 1
+    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET
 ) -> MinMultiedgeCutResult:
     """Exact minimum multiedge cut with deterministic witness."""
-    _check_terminals(g, s, z)
-    if reachable(g, s, z) is None:
-        return MinMultiedgeCutResult(0, frozenset(), (), 0, 1, "enumeration")
-    cand = candidate_multiedges(g, s, z)
-    witness, checked, bound, engine = _dual_engine_search(
-        g, s, z, cand, len(cand), budget, threads,
-        lambda combo: is_multiedge_cut(g, s, z, combo),
+    witness, *work = _cut_search(
+        g, s, z, None, budget, candidate_multiedges, is_multiedge_cut,
         lambda p: p.multiedge_pairs,
     )
-    assert witness is not None, "the full candidate set must be a cut"
-    return MinMultiedgeCutResult(len(witness), witness, cand, checked, bound, engine)
+    return MinMultiedgeCutResult(len(witness), witness, *work)

@@ -26,9 +26,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import TemporalGraph, TemporalWalk, reachable, token_key
-from .errors import BudgetExceeded, LimitExceeded, MalformedInput, UnknownVertex
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    LimitExceeded,
+    MalformedInput,
+    UnknownVertex,
+)
 
-DEFAULT_BUDGET = 10_000_000
 DOT_VERTEX_LIMIT = 500
 
 
@@ -266,20 +271,13 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
 
 
 def max_snapshot_disjoint(
-    g: TemporalGraph,
-    s,
-    z,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET
 ) -> PathsResult:
     """Decide whether k pairwise snapshot-disjoint temporal s,z-paths
     exist; on success the result carries such a family.
 
     Breadth-first search over the product digraph, stopping at the first
-    sight of the all-sink tuple.  ``threads`` parallelizes successor
-    generation per search level (the visited bookkeeping stays serial, so
-    answers and witnesses do not depend on the thread count).
+    sight of the all-sink tuple.
     """
     product = ProductDigraph(g, s, z, k, budget)
     parents: dict = {}
@@ -288,35 +286,21 @@ def max_snapshot_disjoint(
     arcs = 0
     goal = product.goal
     found = False
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
-    else:
-        pool = None
-    try:
-        while frontier and not found:
-            if pool is None:
-                expansions = map(product.successors, frontier)
-            else:
-                expansions = pool.map(product.successors, frontier, chunksize=64)
-            nxt_frontier = []
-            for cur, moves in zip(frontier, expansions):
-                for pos, j, nxt in moves:
-                    arcs += 1
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    parents[nxt] = (cur, pos, j)
-                    if nxt == goal:
-                        found = True
-                        break
-                    nxt_frontier.append(nxt)
-                if found:
+    while frontier and not found:
+        nxt_frontier = []
+        for cur in frontier:
+            for pos, j, nxt in product.successors(cur):
+                arcs += 1
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                parents[nxt] = (cur, pos, j)
+                if nxt == goal:
+                    found = True
                     break
-            frontier = nxt_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+                nxt_frontier.append(nxt)
+            if found:
+                break
+        frontier = nxt_frontier
     family = _extract_family(product, parents) if found else ()
     return PathsResult(found, family, k, product.tuple_bound, len(seen), arcs)

@@ -7,6 +7,10 @@ from "the computation refused to run" without string matching.
 
 from __future__ import annotations
 
+# Work units (tuples, subsets, search nodes) a budgeted search may spend
+# when the caller names no budget.
+DEFAULT_BUDGET = 10_000_000
+
 
 class TemporalGraphError(Exception):
     """Base class for all errors raised by this package."""
@@ -77,7 +81,8 @@ class ImproperColoring(MalformedInput):
 
 
 class BudgetExceeded(TemporalGraphError):
-    """An exhaustive search would exceed its work budget; nothing was run."""
+    """An exhaustive search would exceed its work budget.  It was either
+    refused before any work ran or stopped as soon as the budget ran out."""
 
     def __init__(self, required, budget, what="search space"):
         self.required = required

@@ -472,7 +472,7 @@ def _labeling_graph(mg: MGraph, link_labels: list) -> TemporalGraph:
     return TemporalGraph(edges, vertices=mg.vertices)
 
 
-def semantic_is_mengerian(mg: MGraph, use_memo: bool = True) -> bool:
+def semantic_is_mengerian(mg: MGraph) -> bool:
     """Does packing equal covering for *every* timefunction and terminal
     pair?  Decided by exhaustive sweep over label order types.
 
@@ -481,16 +481,13 @@ def semantic_is_mengerian(mg: MGraph, use_memo: bool = True) -> bool:
     """
     comps = mg.components()
     if len(comps) > 1:
-        return all(semantic_is_mengerian(c, use_memo) for c in comps)
+        return all(semantic_is_mengerian(c) for c in comps)
     if mg.order() <= 1 or not mg.links:
         return True
-    key = mg.canonical_form() if use_memo else None
-    if use_memo and key in _VERDICT_MEMO:
-        return _VERDICT_MEMO[key]
-    verdict = _sweep(mg) is None
-    if use_memo:
-        _VERDICT_MEMO[key] = verdict
-    return verdict
+    key = mg.canonical_form()
+    if key not in _VERDICT_MEMO:
+        _VERDICT_MEMO[key] = _sweep(mg) is None
+    return _VERDICT_MEMO[key]
 
 
 def find_semantic_violation(mg: MGraph) -> Optional[SemanticViolation]:

@@ -94,6 +94,12 @@ class TestCuts:
         assert code == 0
         assert "remove snapshots [1]" in out
 
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cut", "-g", "demo", "-k", "2", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_mcut_witness(self, capsys, tmp_path):
         report = tmp_path / "mcut.json"
         code, out, _ = run(

