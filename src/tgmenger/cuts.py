@@ -15,13 +15,21 @@ Two engines produce provably identical answers:
 
 A subset cuts the graph iff it hits every path, and minimal cuts only use
 candidate labels, so both engines return the lexicographically least
-minimum-size witness.  The enumeration engine is preferred while its
-subset count stays small and within the caller's budget; otherwise the
-hitting engine takes over when paths are enumerable, and enumeration
-runs anyway if it fits in the budget.  ``budget`` caps both engines: a
-subset count above it is refused before enumeration starts, and the
-hitting engine stops once it has visited more search nodes than that.
-Either way :class:`BudgetExceeded` is raised.
+minimum-size witness.  The hitting search picks candidates in increasing
+index order, so a path mask whose highest bit lies below the index just
+chosen can never be hit again: each branch loop ends at the lowest
+highest bit among the masks still unhit.  It also skips a subtree when
+more masks than it may still choose have pairwise disjoint bits among the
+indices left to it.  Both rules drop only subtrees without a hitting set,
+so the surviving (size, lex) order finds the same witness.
+
+The enumeration engine is preferred while its subset count stays small
+and within the caller's budget; otherwise the hitting engine takes over
+when paths are enumerable, and enumeration runs anyway if it fits in the
+budget.  ``budget`` caps both engines: a subset count above it is refused
+before enumeration starts, each listed path costs one unit, and the
+hitting engine stops once the listed paths plus its search nodes exceed
+it.  Either way :class:`BudgetExceeded` is raised.
 """
 
 from __future__ import annotations
@@ -180,47 +188,73 @@ def _path_masks(paths, candidates) -> list:
     return [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
 
+def _branches(n: int, start: int, left: int, remaining: list) -> range:
+    """Candidate indices worth trying next, once indices below *start* are
+    settled and *left* more may be chosen to hit the *remaining* masks.
+
+    Every later choice has an index at least the current one, so choosing
+    index ``i`` or beyond leaves unhit, for good, each mask whose highest
+    bit lies below ``i``: the loop stops at the lowest such highest bit.
+    The subtree is empty, too, when more than *left* of the remaining
+    masks have pairwise disjoint live bits (bits at or above *start*).
+    """
+    # A smaller positive int never has a longer bit length, so the least
+    # mask has the lowest highest bit.
+    stop = min(n - left + 1, min(remaining).bit_length())
+    if left == 0 or stop <= start:
+        return range(0)
+    union = 0
+    disjoint = 0
+    floor = -1 << start
+    for m in remaining:
+        live = m & floor
+        if not live & union:
+            disjoint += 1
+            if disjoint > left:
+                return range(0)
+            union |= live
+    return range(start, stop)
+
+
 def _hitting_engine(candidates, sizes, masks, budget):
     """Lexicographically least minimum hitting set among the given sizes;
     returns (witness or None, nodes visited).  Raises
-    :class:`BudgetExceeded` once more than *budget* nodes are visited."""
+    :class:`BudgetExceeded` once more than *budget* nodes are visited.
+
+    For each size, a depth-first search picks candidate indices in
+    increasing order, so it meets the subsets of that size in lex order.
+    :func:`_branches` drops only subtrees that hold no hitting set, so the
+    first one found is still the lexicographically least of the smallest
+    size.  The search keeps an explicit stack, one frame per chosen index,
+    so a cut of any size cannot exhaust the interpreter's recursion limit.
+    """
+    if not masks:
+        return frozenset(), 0
+    n = len(candidates)
     visited = 0
-
-    def lower_bound(remaining) -> int:
-        union = 0
-        count = 0
-        for m in remaining:
-            if not m & union:
-                count += 1
-                union |= m
-        return count
-
-    def go(start: int, left: int, chosen: list, remaining: list):
-        nonlocal visited
-        if not remaining:
-            return tuple(chosen)
-        if left == 0 or lower_bound(remaining) > left:
-            return None
-        for i in range(start, len(candidates) - left + 1):
+    for size in sizes:
+        if size == 0:
+            continue
+        chosen: list = []
+        # frame: (index iterator, choices left after this one, masks unhit)
+        stack = [(iter(_branches(n, 0, size, masks)), size - 1, masks)]
+        while stack:
+            indices, left, remaining = stack[-1]
+            i = next(indices, None)
+            if i is None:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(visited, budget, "cut hitting-set search")
             bit = 1 << i
-            chosen.append(candidates[i])
-            hit = go(i + 1, left - 1, chosen, [m for m in remaining if not m & bit])
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    for size in sizes:
-        if size == 0:
-            if not masks:
-                return frozenset(), visited
-            continue
-        hit = go(0, size, [], list(masks))
-        if hit is not None:
-            return frozenset(hit), visited
+            rest = [m for m in remaining if not m & bit]
+            if not rest:
+                return frozenset(candidates[j] for j in chosen + [i]), visited
+            chosen.append(i)
+            stack.append((iter(_branches(n, i + 1, left, rest)), left - 1, rest))
     return None, visited
 
 
@@ -247,14 +281,20 @@ def _cut_search(g, s, z, h, budget, candidates_of, is_cut, path_set):
     paths = None
     if bound > min(ENUMERATION_THRESHOLD, budget):
         # Too many subsets to enumerate cheaply: hit the s,z-paths instead
-        # if there are few enough of them to list.
+        # if there are few enough of them to list.  Each listed path is
+        # charged against the budget.
         try:
-            paths = enumerate_paths(g, s, z, limit=PATH_LIMIT)
+            paths = enumerate_paths(g, s, z, limit=min(PATH_LIMIT, budget))
         except LimitExceeded:
             pass
     if paths is not None:
         masks = _path_masks((path_set(p) for p in paths), cand)
-        witness, checked = _hitting_engine(cand, sizes, masks, budget)
+        try:
+            witness, checked = _hitting_engine(cand, sizes, masks, budget - len(paths))
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(
+                len(paths) + exc.required, budget, "cut path listing and hitting-set search"
+            ) from None
         engine = "hitting"
     elif bound <= budget:
         witness, checked = _enumerate_engine(cand, sizes, separates)

@@ -94,6 +94,21 @@ class TestCuts:
         assert code == 0
         assert "remove snapshots [1]" in out
 
+    def test_hitting_engine_counts_search_nodes(self, capsys, tmp_path):
+        # 30 parallel two-hop routes, one label each: 2^30 subsets, 30 paths.
+        path = tmp_path / "routes.edges"
+        path.write_text("".join(f"s v{i} {i + 1}\nv{i} z {i + 1}\n" for i in range(30)))
+        report = tmp_path / "cut.json"
+        code, out, _ = run(
+            capsys, "cut", "-g", str(path), "-s", "s", "-z", "z", "-k", "30",
+            "--report", str(report),
+        )
+        assert code == 0
+        assert "engine hitting, 30 search nodes visited" in out
+        assert "subsets checked" not in out
+        used = json.loads(report.read_text())["budget_used"]
+        assert (used["engine"], used["subsets_checked"]) == ("hitting", 30)
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["cut", "-g", "demo", "-k", "2", "--threads", "2"])

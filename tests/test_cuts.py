@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -142,14 +143,70 @@ class TestEngines:
         inst = vc_gadget(range(5), list(itertools.combinations(range(5), 2)))
         g, s, z = inst.graph, inst.s, inst.z
         # 27,776 subsets fit the enumeration threshold but not the budget,
-        # so the hitting engine answers instead, within the budget.
-        res = cuts.multiedge_cut_at_most(g, s, z, 3, budget=10)
+        # so the hitting engine answers instead: listing K5's 30 paths and
+        # the search both fit in the budget.
+        res = cuts.multiedge_cut_at_most(g, s, z, 3, budget=100)
         assert not res.found
-        assert res.engine == "hitting" and res.subsets_checked <= 10
-        # The hitting engine needs 1,792 search nodes for h=6.
-        assert cuts.multiedge_cut_at_most(g, s, z, 6).subsets_checked > 1000
+        assert res.engine == "hitting" and res.subsets_checked <= 100 - 30
+        # The hitting engine needs 15,604 search nodes for h=8.
+        assert cuts.multiedge_cut_at_most(g, s, z, 8).subsets_checked > 10_000
         with pytest.raises(BudgetExceeded):
-            cuts.multiedge_cut_at_most(g, s, z, 6, budget=1000)
+            cuts.multiedge_cut_at_most(g, s, z, 8, budget=10_000)
+
+    def test_path_listing_is_charged_to_the_budget(self):
+        # s, four layers of 7 vertices, z; each layer pair is joined at two
+        # labels, so far more than PATH_LIMIT paths run through 10 labels.
+        layers = [["s"]] + [[f"{i}.{j}" for j in range(7)] for i in range(4)] + [["z"]]
+        edges = []
+        for i, (a, b) in enumerate(zip(layers, layers[1:])):
+            for u, v, t in itertools.product(a, b, (2 * i + 1, 2 * i + 2)):
+                edges.append((len(edges), u, v, t))
+        g = TemporalGraph(edges)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            cuts.snapshot_cut_at_most(g, "s", "z", 1, budget=1)
+        assert time.perf_counter() - started < 0.5
+
+    def test_large_cut_does_not_recurse(self):
+        # 1,100 parallel two-hop routes, route i at label i+1: every label
+        # must go, and the search goes 1,100 choices deep.
+        edges = []
+        for i in range(1100):
+            edges += [(2 * i, "s", f"v{i}", i + 1), (2 * i + 1, f"v{i}", "z", i + 1)]
+        res = cuts.min_snapshot_cut(TemporalGraph(edges), "s", "z")
+        assert res.engine == "hitting"
+        assert res.value == 1100
+        assert res.labels == frozenset(range(1, 1101))
+
+
+class TestHittingEngine:
+    @staticmethod
+    def brute_force(n, masks, sizes):
+        for size in sizes:
+            for combo in itertools.combinations(range(n), size):
+                chosen = sum(1 << i for i in combo)
+                if all(m & chosen for m in masks):
+                    return frozenset(combo)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_witness_is_lex_least_minimum(self, data):
+        n = data.draw(st.integers(1, 12))
+        raw = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
+        masks = cuts._path_masks(
+            ([i for i in range(n) if m >> i & 1] for m in raw), tuple(range(n))
+        )
+        sizes = range(data.draw(st.integers(0, n)) + 1)
+        witness, _ = cuts._hitting_engine(tuple(range(n)), sizes, masks, 10**9)
+        assert witness == self.brute_force(n, masks, sizes)
+
+    def test_pruned_node_count(self):
+        # Unpruned, this search visited 694,898 nodes.
+        inst = vc_gadget(range(5), list(itertools.combinations(range(5), 2)))
+        res = cuts.multiedge_cut_at_most(inst.graph, inst.s, inst.z, 8)
+        assert not res.found and res.engine == "hitting"
+        assert res.subsets_checked <= 30_000
 
 
 @settings(max_examples=60, deadline=None)
