@@ -25,9 +25,6 @@ from .core import (
 )
 from .cuts import (
     CutResult,
-    MinCutResult,
-    MinMultiedgeCutResult,
-    MultiedgeCutResult,
     candidate_labels,
     candidate_multiedges,
     is_multiedge_cut,
@@ -97,12 +94,9 @@ __all__ = [
     "MGraph",
     "MalformedInput",
     "MengerVerdict",
-    "MinCutResult",
-    "MinMultiedgeCutResult",
     "MinorEmbedding",
     "MinorWitness",
     "MissingMultiedge",
-    "MultiedgeCutResult",
     "NonIncident",
     "NotInjective",
     "PathsResult",

@@ -6,6 +6,14 @@ standing assumption that each snapshot is simple: parallel edges must carry
 pairwise distinct labels.  Walks are *non-strict* — consecutive labels along
 a walk may repeat but never decrease.
 
+Every graph keeps a label index: its snapshots, one tuple of edges per
+label in increasing label order, built once at construction.  One sweep
+over that index answers all time-respecting reachability: run forward
+from a source it gives earliest arrivals and the parent edges of
+:func:`reachable`'s witness, run backward from a target it gives latest
+departures.  This is the label-ordered edge-stream pass of Wu et al.,
+"Path Problems in Temporal Graphs" (PVLDB 2014).
+
 The module also provides :class:`MGraph`, the untimed multigraph skeleton
 (vertices, links, multiplicities) used by the recognition machinery, plus
 m-subdivision and a small-pattern topological-minor matcher that respects
@@ -95,6 +103,9 @@ class TemporalGraph:
         The set of labels in use.
     lifetime : int
         Largest label, or 0 for an edgeless graph.
+
+    The label index maps each label, in increasing order, to its snapshot:
+    the edges at that label in construction order.
     """
 
     def __init__(self, edges: Iterable, vertices: Iterable[Vertex] = ()):
@@ -126,7 +137,11 @@ class TemporalGraph:
         self.edges: tuple = tuple(built)
         self.vertices: frozenset = frozenset(verts)
         self._by_id = by_id
-        self.labels: frozenset = frozenset(e.t for e in built)
+        by_label: dict = {}
+        for e in built:
+            by_label.setdefault(e.t, []).append(e)
+        self._snapshots = {t: tuple(by_label[t]) for t in sorted(by_label)}
+        self.labels: frozenset = frozenset(self._snapshots)
         self.lifetime: int = max(self.labels) if self.labels else 0
         inc: dict = {v: [] for v in verts}
         for e in built:
@@ -158,7 +173,7 @@ class TemporalGraph:
             raise UnknownVertex(v) from None
 
     def snapshot(self, t: int) -> tuple:
-        return tuple(e for e in self.edges if e.t == t)
+        return self._snapshots.get(t, ())
 
     def multiedge(self, u: Vertex, v: Vertex) -> tuple:
         pair = link_key(u, v)
@@ -327,13 +342,21 @@ def walk_from_labels(g: TemporalGraph, sequence: Sequence) -> TemporalWalk:
 # -- time-respecting reachability ------------------------------------------
 
 
-def _arrivals(g: TemporalGraph, s: Vertex) -> tuple:
-    """Forward sweep from *s*: the earliest-arrival map and, for every other
-    vertex reached, the edge it was first reached by."""
-    ea = {s: 0}
+def _sweep(g: TemporalGraph, root: Vertex, forward: bool) -> tuple:
+    """One pass over the label index from *root*: forward in increasing
+    label order (walks leaving *root*), backward in decreasing order (walks
+    ending at *root*).
+
+    Returns the label at which each vertex was first reached (0 forward,
+    infinity backward for *root*) and, for every other vertex reached, the
+    edge it was reached by.  Labels are met monotonically, so a vertex
+    already reached is always in time for the current snapshot and one
+    not yet reached never is.
+    """
+    reached = {root: 0 if forward else INF}
     parent: dict = {}
-    for t in sorted(g.labels):
-        snap = g.snapshot(t)
+    snapshots = g._snapshots.items()
+    for t, snap in snapshots if forward else reversed(snapshots):
         # Within one snapshot several hops at the same label may chain, so
         # iterate to a fixpoint (snapshots are tiny in practice).
         changed = True
@@ -341,11 +364,11 @@ def _arrivals(g: TemporalGraph, s: Vertex) -> tuple:
             changed = False
             for e in snap:
                 for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if ea.get(a, INF) <= t and ea.get(b, INF) > t:
-                        ea[b] = t
+                    if a in reached and b not in reached:
+                        reached[b] = t
                         parent[b] = e
                         changed = True
-    return ea, parent
+    return reached, parent
 
 
 def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
@@ -353,7 +376,7 @@ def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
     itself; unreachable vertices are absent)."""
     if s not in g.vertices:
         raise UnknownVertex(s)
-    return _arrivals(g, s)[0]
+    return _sweep(g, s, forward=True)[0]
 
 
 def latest_departure(g: TemporalGraph, z: Vertex) -> dict:
@@ -361,18 +384,18 @@ def latest_departure(g: TemporalGraph, z: Vertex) -> dict:
     (infinity for *z* itself; vertices that cannot reach *z* are absent)."""
     if z not in g.vertices:
         raise UnknownVertex(z)
-    ld = {z: INF}
-    for t in sorted(g.labels, reverse=True):
-        snap = g.snapshot(t)
-        changed = True
-        while changed:
-            changed = False
-            for e in snap:
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if ld.get(b, -INF) >= t and ld.get(a, -INF) < t:
-                        ld[a] = t
-                        changed = True
-    return ld
+    return _sweep(g, z, forward=False)[0]
+
+
+def check_terminals(g: TemporalGraph, s: Vertex, z: Vertex) -> None:
+    """The terminal rule every s,z solver shares: both are vertices of *g*
+    (:class:`UnknownVertex`, *s* checked first) and they are distinct
+    (:class:`MalformedInput`)."""
+    for v in (s, z):
+        if v not in g.vertices:
+            raise UnknownVertex(v)
+    if s == z:
+        raise MalformedInput("terminals must be distinct")
 
 
 def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
@@ -387,7 +410,7 @@ def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
         raise UnknownVertex(z)
     if s == z:
         return TemporalWalk((s,), ())
-    ea, parent = _arrivals(g, s)
+    ea, parent = _sweep(g, s, forward=True)
     if z not in ea:
         return None
     rv = [z]

@@ -30,6 +30,10 @@ budget.  ``budget`` caps both engines: a subset count above it is refused
 before enumeration starts, each listed path costs one unit, and the
 hitting engine stops once the listed paths plus its search nodes exceed
 it.  Either way :class:`BudgetExceeded` is raised.
+
+All four searches (at most *h* or minimum, snapshot or multiedge) return
+one :class:`CutResult` shape: ``found``, ``value`` (the witness size),
+the witness in ``labels`` or ``multiedges``, and the work accounting.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Optional
 
 from .core import (
     TemporalGraph,
+    check_terminals,
     earliest_arrival,
     enumerate_paths,
     latest_departure,
@@ -52,7 +57,6 @@ from .errors import (
     BudgetExceeded,
     LimitExceeded,
     MalformedInput,
-    UnknownVertex,
 )
 
 ENUMERATION_THRESHOLD = 50_000
@@ -61,55 +65,24 @@ PATH_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class CutResult:
-    """Outcome of a bounded snapshot-cut search."""
+    """Outcome of any of the four cut searches.
+
+    ``labels`` holds a snapshot cut's witness and ``multiedges`` a multiedge
+    cut's (the other stays ``None``); ``value`` is the witness size, ``None``
+    when no cut within the bound exists.  A minimum-cut search always finds
+    one.  The rest is work accounting: the candidate list searched, the
+    subsets checked or search nodes visited, the number of subsets of the
+    searched sizes, and the engine that ran.
+    """
 
     found: bool
+    value: Optional[int]
     labels: Optional[frozenset]
-    size_bound: int
-    candidates: tuple
-    subsets_checked: int
-    subset_bound: int
-    engine: str
-
-
-@dataclass(frozen=True)
-class MinCutResult:
-    value: int
-    labels: frozenset
-    candidates: tuple
-    subsets_checked: int
-    subset_bound: int
-    engine: str
-
-
-@dataclass(frozen=True)
-class MultiedgeCutResult:
-    found: bool
     multiedges: Optional[frozenset]
-    size_bound: int
     candidates: tuple
     subsets_checked: int
     subset_bound: int
     engine: str
-
-
-@dataclass(frozen=True)
-class MinMultiedgeCutResult:
-    value: int
-    multiedges: frozenset
-    candidates: tuple
-    subsets_checked: int
-    subset_bound: int
-    engine: str
-
-
-def _check_terminals(g: TemporalGraph, s, z):
-    if s not in g.vertices:
-        raise UnknownVertex(s)
-    if z not in g.vertices:
-        raise UnknownVertex(z)
-    if s == z:
-        raise MalformedInput("terminals must be distinct")
 
 
 def _useful_edges(g: TemporalGraph, s, z) -> list:
@@ -119,7 +92,7 @@ def _useful_edges(g: TemporalGraph, s, z) -> list:
     An edge uv at time t lies on such a walk iff one endpoint is reachable
     from s by time t and the other can still reach z from time t on.
     """
-    _check_terminals(g, s, z)
+    check_terminals(g, s, z)
     ea = earliest_arrival(g, s)
     ld = latest_departure(g, z)
     useful = []
@@ -139,7 +112,7 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
 
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
     """Does removing every edge at the given labels separate z from s?"""
-    _check_terminals(g, s, z)
+    check_terminals(g, s, z)
     return reachable(g.without_labels(labels), s, z) is None
 
 
@@ -152,7 +125,7 @@ def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
 
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
     """Does removing the given multiedges separate z from s?"""
-    _check_terminals(g, s, z)
+    check_terminals(g, s, z)
     return reachable(g.without_multiedges(pairs), s, z) is None
 
 
@@ -176,6 +149,11 @@ def _enumerate_engine(candidates, sizes, is_cut):
 
 
 def _path_masks(paths, candidates) -> list:
+    """One bit mask per distinct candidate set, in increasing order.
+
+    Masks that contain others are kept: whatever hits a mask hits every
+    mask containing it, and the search's pruning rules hold for any mask.
+    """
     pos = {c: i for i, c in enumerate(candidates)}
     masks = set()
     for p in paths:
@@ -183,9 +161,7 @@ def _path_masks(paths, candidates) -> list:
         for value in p:
             m |= 1 << pos[value]
         masks.add(m)
-    # Keep only inclusion-minimal masks: a set hits every path iff it hits
-    # every minimal one.
-    return [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return sorted(masks)
 
 
 def _branches(n: int, start: int, left: int, remaining: list) -> range:
@@ -258,51 +234,64 @@ def _hitting_engine(candidates, sizes, masks, budget):
     return None, visited
 
 
-def _cut_search(g, s, z, h, budget, candidates_of, is_cut, path_set):
+def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """The steps all four cut searches share: validate, answer the empty
     cut when *z* is already unreachable, then pick an engine and run it
     over the candidates.  ``h=None`` asks for a minimum cut.
-
-    Returns (witness or None, candidates, checked, subset_bound, engine).
     """
     if h is not None and h < 0:
         raise MalformedInput("cut size bound must be >= 0")
-    _check_terminals(g, s, z)
-    if reachable(g, s, z) is None:
-        return frozenset(), (), 0, 1, "enumeration"
-    cand = candidates_of(g, s, z)
-    max_size = len(cand) if h is None else h
-    sizes = range(0, min(max_size, len(cand)) + 1)
-    bound = _subset_bound(len(cand), max_size)
-
-    def separates(combo) -> bool:
-        return is_cut(g, s, z, combo)
-
-    paths = None
-    if bound > min(ENUMERATION_THRESHOLD, budget):
-        # Too many subsets to enumerate cheaply: hit the s,z-paths instead
-        # if there are few enough of them to list.  Each listed path is
-        # charged against the budget.
-        try:
-            paths = enumerate_paths(g, s, z, limit=min(PATH_LIMIT, budget))
-        except LimitExceeded:
-            pass
-    if paths is not None:
-        masks = _path_masks((path_set(p) for p in paths), cand)
-        try:
-            witness, checked = _hitting_engine(cand, sizes, masks, budget - len(paths))
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(
-                len(paths) + exc.required, budget, "cut path listing and hitting-set search"
-            ) from None
-        engine = "hitting"
-    elif bound <= budget:
-        witness, checked = _enumerate_engine(cand, sizes, separates)
-        engine = "enumeration"
+    check_terminals(g, s, z)
+    if multiedge:
+        candidates_of, is_cut = candidate_multiedges, is_multiedge_cut
     else:
-        raise BudgetExceeded(bound, budget, "cut subset enumeration")
-    assert h is not None or witness is not None, "the full candidate set must be a cut"
-    return witness, cand, checked, bound, engine
+        candidates_of, is_cut = candidate_labels, is_snapshot_cut
+    if reachable(g, s, z) is None:
+        witness, cand, checked, bound, engine = frozenset(), (), 0, 1, "enumeration"
+    else:
+        cand = candidates_of(g, s, z)
+        max_size = len(cand) if h is None else h
+        sizes = range(0, min(max_size, len(cand)) + 1)
+        bound = _subset_bound(len(cand), max_size)
+        paths = None
+        if bound > min(ENUMERATION_THRESHOLD, budget):
+            # Too many subsets to enumerate cheaply: hit the s,z-paths
+            # instead if there are few enough of them to list.  Each listed
+            # path is charged against the budget.
+            try:
+                paths = enumerate_paths(g, s, z, limit=min(PATH_LIMIT, budget))
+            except LimitExceeded:
+                pass
+        if paths is not None:
+            masks = _path_masks(
+                (p.multiedge_pairs if multiedge else p.label_set for p in paths), cand
+            )
+            try:
+                witness, checked = _hitting_engine(cand, sizes, masks, budget - len(paths))
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    len(paths) + exc.required, budget,
+                    "cut path listing and hitting-set search",
+                ) from None
+            engine = "hitting"
+        elif bound <= budget:
+            witness, checked = _enumerate_engine(
+                cand, sizes, lambda combo: is_cut(g, s, z, combo)
+            )
+            engine = "enumeration"
+        else:
+            raise BudgetExceeded(bound, budget, "cut subset enumeration")
+        assert h is not None or witness is not None, "the full candidate set must be a cut"
+    return CutResult(
+        witness is not None,
+        None if witness is None else len(witness),
+        None if multiedge else witness,
+        witness if multiedge else None,
+        cand,
+        checked,
+        bound,
+        engine,
+    )
 
 
 # -- public operations -----------------------------------------------------------
@@ -313,42 +302,24 @@ def snapshot_cut_at_most(
 ) -> CutResult:
     """Is there a snapshot cut of size at most *h*?  Witness is the
     lexicographically least minimum-size one if so."""
-    witness, *work = _cut_search(
-        g, s, z, h, budget, candidate_labels, is_snapshot_cut, lambda p: p.label_set
-    )
-    return CutResult(witness is not None, witness, h, *work)
+    return _cut_search(g, s, z, h, budget, multiedge=False)
 
 
-def min_snapshot_cut(
-    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET
-) -> MinCutResult:
+def min_snapshot_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:
     """Exact minimum snapshot cut with the lexicographically least witness.
 
     Always terminates: the candidate label set itself is a cut.
     """
-    witness, *work = _cut_search(
-        g, s, z, None, budget, candidate_labels, is_snapshot_cut, lambda p: p.label_set
-    )
-    return MinCutResult(len(witness), witness, *work)
+    return _cut_search(g, s, z, None, budget, multiedge=False)
 
 
 def multiedge_cut_at_most(
     g: TemporalGraph, s, z, h: int, budget: int = DEFAULT_BUDGET
-) -> MultiedgeCutResult:
+) -> CutResult:
     """Is there a multiedge cut of size at most *h*?"""
-    witness, *work = _cut_search(
-        g, s, z, h, budget, candidate_multiedges, is_multiedge_cut,
-        lambda p: p.multiedge_pairs,
-    )
-    return MultiedgeCutResult(witness is not None, witness, h, *work)
+    return _cut_search(g, s, z, h, budget, multiedge=True)
 
 
-def min_multiedge_cut(
-    g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET
-) -> MinMultiedgeCutResult:
+def min_multiedge_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:
     """Exact minimum multiedge cut with deterministic witness."""
-    witness, *work = _cut_search(
-        g, s, z, None, budget, candidate_multiedges, is_multiedge_cut,
-        lambda p: p.multiedge_pairs,
-    )
-    return MinMultiedgeCutResult(len(witness), witness, *work)
+    return _cut_search(g, s, z, None, budget, multiedge=True)

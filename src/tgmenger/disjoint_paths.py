@@ -25,14 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, TemporalWalk, reachable, token_key
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    LimitExceeded,
-    MalformedInput,
-    UnknownVertex,
-)
+from .core import TemporalGraph, TemporalWalk, check_terminals, reachable
+from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 
 DOT_VERTEX_LIMIT = 500
 
@@ -64,12 +58,7 @@ class ProductDigraph:
     def __init__(self, g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET):
         if k < 1:
             raise MalformedInput("k must be at least 1")
-        if s not in g.vertices:
-            raise UnknownVertex(s)
-        if z not in g.vertices:
-            raise UnknownVertex(z)
-        if s == z:
-            raise MalformedInput("terminals must be distinct")
+        check_terminals(g, s, z)
         self.graph = g
         self.s = s
         self.z = z

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .core import TemporalGraph, TemporalWalk, reachable, token_key
-from .errors import MalformedInput, NotInjective, UnknownVertex
+from .core import TemporalGraph, TemporalWalk, check_terminals, reachable, token_key
+from .errors import NotInjective
 
 _SRC = ("src",)
 _SNK = ("snk",)
@@ -47,15 +47,6 @@ class InjectiveResult:
 class EdgeDisjointResult:
     value: int
     family: tuple
-
-
-def _check(g: TemporalGraph, s, z):
-    if s not in g.vertices:
-        raise UnknownVertex(s)
-    if z not in g.vertices:
-        raise UnknownVertex(z)
-    if s == z:
-        raise MalformedInput("terminals must be distinct")
 
 
 def _expanded_network(g: TemporalGraph, s, z) -> nx.DiGraph:
@@ -163,7 +154,7 @@ def _shortcut(walk: TemporalWalk) -> TemporalWalk:
 def max_edge_disjoint_paths(g: TemporalGraph, s, z) -> EdgeDisjointResult:
     """Maximum family of pairwise edge-disjoint temporal s,z-paths, for
     any temporal graph (labels may repeat)."""
-    _check(g, s, z)
+    check_terminals(g, s, z)
     if reachable(g, s, z) is None:
         return EdgeDisjointResult(0, ())
     net = _expanded_network(g, s, z)
@@ -187,7 +178,7 @@ def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
     residual graph reachable from the source (all crossings are unit arcs
     because every other arc's capacity exceeds the flow value).
     """
-    _check(g, s, z)
+    check_terminals(g, s, z)
     seen: set = set()
     for e in g.edges:
         if e.t in seen:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mgraph, random_temporal_graph
+from tgmenger import cuts
 from tgmenger.core import (
     INF,
     MGraph,
@@ -22,6 +23,7 @@ from tgmenger.core import (
     validate_walk,
     walk_from_labels,
 )
+from tgmenger.disjoint_paths import max_snapshot_disjoint
 from tgmenger.errors import (
     DecreasingLabel,
     LimitExceeded,
@@ -32,6 +34,7 @@ from tgmenger.errors import (
     UnknownEdge,
     UnknownVertex,
 )
+from tgmenger.injective_flow import injective_connectivity, max_edge_disjoint_paths
 
 
 def test_token_key_orders_ints_before_strings():
@@ -88,6 +91,7 @@ class TestConstruction:
 
     def test_snapshot(self, demo):
         assert {e.eid for e in demo.graph.snapshot(3)} == {"sw3", "wu3", "vz3", "uz3"}
+        assert demo.graph.snapshot(99) == ()
 
     def test_without_labels(self, demo):
         h = demo.graph.without_labels({2, 3})
@@ -151,6 +155,7 @@ class TestTraversal:
     def test_same_label_hops_chain_within_snapshot(self):
         g = TemporalGraph([(0, "a", "b", 5), (1, "b", "c", 5)])
         assert earliest_arrival(g, "a")["c"] == 5
+        assert latest_departure(g, "c")["a"] == 5
 
     def test_reachable_returns_a_path(self, demo):
         w = reachable(demo.graph, "s", "z")
@@ -183,6 +188,35 @@ class TestTraversal:
         (path,) = enumerate_paths(g, 0, 1200)
         assert path.vertices == tuple(range(1201))
         assert path.labels == tuple(range(1, 1201))
+
+
+# Every s,z entry point with the arguments it takes after the terminals.
+SZ_ENTRY_POINTS = [
+    (cuts.snapshot_cut_at_most, (1,)),
+    (cuts.min_snapshot_cut, ()),
+    (cuts.multiedge_cut_at_most, (1,)),
+    (cuts.min_multiedge_cut, ()),
+    (cuts.candidate_labels, ()),
+    (cuts.candidate_multiedges, ()),
+    (cuts.is_snapshot_cut, ({2, 3},)),
+    (cuts.is_multiedge_cut, ({("s", "u")},)),
+    (max_snapshot_disjoint, (1,)),
+    (max_edge_disjoint_paths, ()),
+    (injective_connectivity, ()),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, extra", SZ_ENTRY_POINTS, ids=[f.__name__ for f, _ in SZ_ENTRY_POINTS]
+)
+def test_every_sz_solver_checks_its_terminals(demo, solver, extra):
+    g = demo.graph
+    with pytest.raises(UnknownVertex):
+        solver(g, "nowhere", "z", *extra)
+    with pytest.raises(UnknownVertex):
+        solver(g, "s", "nowhere", *extra)
+    with pytest.raises(MalformedInput):
+        solver(g, "s", "s", *extra)
 
 
 class TestMGraph:

@@ -217,10 +217,15 @@ def test_min_cut_matches_oracle(seed):
     pairs = terminals(g)
     for s, z in rng.sample(pairs, min(4, len(pairs))):
         res = cuts.min_snapshot_cut(g, s, z)
-        assert res.value == brute_force_c(g, s, z).value
+        oracle = brute_force_c(g, s, z)
+        assert (res.found, res.value, res.labels) == (True, oracle.value, oracle.witness)
+        at = cuts.snapshot_cut_at_most(g, s, z, res.value)
+        assert (at.found, at.value, at.labels) == (True, res.value, res.labels)
         if res.value:
             assert cuts.is_snapshot_cut(g, s, z, res.labels)
             assert len(res.labels) == res.value
+            below = cuts.snapshot_cut_at_most(g, s, z, res.value - 1)
+            assert (below.found, below.value, below.labels) == (False, None, None)
         else:
             assert reachable(g, s, z) is None or s == z
 
@@ -233,6 +238,11 @@ def test_min_multiedge_cut_matches_oracle(seed):
     pairs = terminals(g)
     for s, z in rng.sample(pairs, min(3, len(pairs))):
         res = cuts.min_multiedge_cut(g, s, z)
-        assert res.value == brute_force_multiedge_cut(g, s, z).value
+        oracle = brute_force_multiedge_cut(g, s, z)
+        assert (res.found, res.value, res.multiedges) == (True, oracle.value, oracle.witness)
+        at = cuts.multiedge_cut_at_most(g, s, z, res.value)
+        assert (at.found, at.value, at.multiedges) == (True, res.value, res.multiedges)
         if res.value:
             assert cuts.is_multiedge_cut(g, s, z, res.multiedges)
+            below = cuts.multiedge_cut_at_most(g, s, z, res.value - 1)
+            assert (below.found, below.value, below.multiedges) == (False, None, None)
