@@ -58,8 +58,7 @@ from .errors import (
 from .fixtures import Fixture, fixture_names, get_fixture
 from .gadgets import GadgetInstance, clique_gadget, indep_set_gadget, vc_gadget
 from .injective_flow import (
-    EdgeDisjointResult,
-    InjectiveResult,
+    FlowResult,
     injective_connectivity,
     max_edge_disjoint_paths,
 )
@@ -85,11 +84,10 @@ __all__ = [
     "CutResult",
     "DecreasingLabel",
     "Edge",
-    "EdgeDisjointResult",
     "Fixture",
+    "FlowResult",
     "GadgetInstance",
     "ImproperColoring",
-    "InjectiveResult",
     "LimitExceeded",
     "MGraph",
     "MalformedInput",

@@ -31,28 +31,27 @@ def _sorted_pairs(pairs):
     return sorted(pairs, key=lambda p: (token_key(p[0]), token_key(p[1])))
 
 
-def _load_instance(args) -> tuple:
-    """Resolve --graph plus optional -s/-z into (graph, s, z, name)."""
+def _load_instance(args, terminals: bool = True) -> tuple:
+    """Resolve --graph plus optional -s/-z into (graph, s, z, name).
+
+    A fixture brings its own terminals, which -s/-z override.  A graph file
+    brings none: -s and -z are then required when *terminals* is true, and
+    otherwise both come back ``None`` unless both were given.
+    """
     name = args.graph
+    given_s = getattr(args, "s", None)
+    given_z = getattr(args, "z", None)
     if name.lower() in set(fixture_names()):
         fx = get_fixture(name)
-        s = formats._token(args.s) if getattr(args, "s", None) else fx.s
-        z = formats._token(args.z) if getattr(args, "z", None) else fx.z
+        s = formats._token(given_s) if given_s else fx.s
+        z = formats._token(given_z) if given_z else fx.z
         return fx.graph, s, z, fx.name
     g = formats.load_graph(name)
-    s = getattr(args, "s", None)
-    z = getattr(args, "z", None)
-    if s is None or z is None:
-        raise MalformedInput("-s and -z are required for graphs loaded from files")
-    return g, formats._token(s), formats._token(z), name
-
-
-def _load_graph_only(args):
-    name = args.graph
-    if name.lower() in set(fixture_names()):
-        fx = get_fixture(name)
-        return fx.graph, fx.name
-    return formats.load_graph(name), name
+    if given_s is None or given_z is None:
+        if terminals:
+            raise MalformedInput("-s and -z are required for graphs loaded from files")
+        return g, None, None, name
+    return g, formats._token(given_s), formats._token(given_z), name
 
 
 def _write_report(path, doc: dict) -> None:
@@ -207,7 +206,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_mengerian(args) -> int:
-    g, name = _load_graph_only(args)
+    g, _, _, name = _load_instance(args, terminals=False)
     mg = g.underlying()
     started = time.perf_counter()
     verdict = recognize(mg)
@@ -350,12 +349,10 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g, name = _load_graph_only(args)
+    g, s, z, name = _load_instance(args, terminals=False)
     if args.product:
-        try:
-            g, s, z, name = _load_instance(args)
-        except MalformedInput:
-            raise MalformedInput("--product needs -s and -z") from None
+        if s is None:
+            raise MalformedInput("--product needs -s and -z")
         product = disjoint_paths.build_product(g, s, z, args.k, budget=args.budget)
         text = product.to_dot()
     else:

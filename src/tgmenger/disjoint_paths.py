@@ -14,9 +14,11 @@ the per-coordinate move sequences then carry pairwise disjoint label sets,
 and restricting the graph to one coordinate's edges and re-running
 reachability extracts an actual path per coordinate.
 
-Everything is explored lazily by breadth-first search, but the worst-case
-tuple count (m+2)^k is checked against the caller's budget before any
-work happens.
+One breadth-first search over the tuples serves both the decision, which
+stops at the first sight of the all-sink tuple, and the full exploration
+behind ``build_product``, which stops only when nothing new is reached.
+Tuples are generated lazily, but the worst-case count (m+2)^k is checked
+against the caller's budget before any work happens.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class ProductDigraph:
     Construction validates the inputs and precomputes the per-member move
     lists; tuples themselves are generated on demand.  ``explore()``
     materializes everything reachable from the all-source tuple (for
-    inspection and DOT dumps) — decision queries use the early-stopping
-    search in :func:`max_snapshot_disjoint` instead.
+    inspection and DOT dumps); :func:`max_snapshot_disjoint` runs the same
+    search but stops at the all-sink tuple.
     """
 
     def __init__(self, g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET):
@@ -149,17 +151,8 @@ class ProductDigraph:
     # -- full materialization ---------------------------------------------------
 
     def explore(self) -> None:
-        seen = {self.start}
-        arcs = []
-        queue = deque([self.start])
-        while queue:
-            cur = queue.popleft()
-            for _, _, nxt in self.successors(cur):
-                arcs.append((cur, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        self.reachable_tuples = frozenset(seen)
+        parents, arcs = _search(self)
+        self.reachable_tuples = frozenset(parents)
         self.arcs = tuple(arcs)
 
     def contains(self, tokens) -> bool:
@@ -200,6 +193,31 @@ class ProductDigraph:
             lines.append(f"  {name(a)} -> {name(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _search(product: ProductDigraph, goal: Optional[tuple] = None) -> tuple:
+    """Breadth-first search from the all-source tuple, stopping right after
+    *goal* is first reached (or after everything, without a goal).
+
+    Returns ``(parents, arcs)``: ``parents`` maps every reached tuple, in
+    the order it was reached, to its ``(previous tuple, coordinate, new
+    member)`` move (``None`` for the start), and ``arcs`` lists every
+    explored arc, repeats to already reached tuples included.
+    """
+    parents: dict = {product.start: None}
+    arcs: list = []
+    queue = deque([product.start])
+    while queue:
+        cur = queue.popleft()
+        for pos, j, nxt in product.successors(cur):
+            arcs.append((cur, nxt))
+            if nxt in parents:
+                continue
+            parents[nxt] = (cur, pos, j)
+            if nxt == goal:
+                return parents, arcs
+            queue.append(nxt)
+    return parents, arcs
 
 
 def build_product(
@@ -269,27 +287,7 @@ def max_snapshot_disjoint(
     sight of the all-sink tuple.
     """
     product = ProductDigraph(g, s, z, k, budget)
-    parents: dict = {}
-    seen = {product.start}
-    frontier = [product.start]
-    arcs = 0
-    goal = product.goal
-    found = False
-    while frontier and not found:
-        nxt_frontier = []
-        for cur in frontier:
-            for pos, j, nxt in product.successors(cur):
-                arcs += 1
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                parents[nxt] = (cur, pos, j)
-                if nxt == goal:
-                    found = True
-                    break
-                nxt_frontier.append(nxt)
-            if found:
-                break
-        frontier = nxt_frontier
+    parents, arcs = _search(product, product.goal)
+    found = product.goal in parents
     family = _extract_family(product, parents) if found else ()
-    return PathsResult(found, family, k, product.tuple_bound, len(seen), arcs)
+    return PathsResult(found, family, k, product.tuple_bound, len(parents), len(arcs))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .core import TemporalGraph
 from .errors import MalformedInput
+from .mengerian import catalog, catalog_entry
 
 
 @dataclass(frozen=True)
@@ -90,32 +91,22 @@ _BUILDERS = {
     "two-route": two_route_network,
 }
 
-_CATALOG_ALIASES = {
-    "m1": "M1",
-    "doubled-path": "M1",
-    "m2": "M2",
-    "pendant-triangle": "M2",
-    "m3": "M3",
-    "bowtie": "M3",
-    "m4": "M4",
-    "doubled-cycle": "M4",
-    "m5": "M5",
-    "diamond": "M5",
-}
+
+def _catalog_names() -> list:
+    """The catalog shapes' codes (lower case) and nicknames."""
+    return [name for e in catalog() for name in (e.code.lower(), e.name)]
 
 
 def fixture_names() -> list:
-    return sorted(_BUILDERS) + sorted(_CATALOG_ALIASES)
+    return sorted(_BUILDERS) + sorted(_catalog_names())
 
 
 def get_fixture(name: str) -> Fixture:
     key = name.lower()
     if key in _BUILDERS:
         return _BUILDERS[key]()
-    if key in _CATALOG_ALIASES:
-        from .mengerian import catalog_entry
-
-        entry = catalog_entry(_CATALOG_ALIASES[key])
+    if key in _catalog_names():
+        entry = catalog_entry(key)
         return Fixture(
             key,
             entry.labeling,

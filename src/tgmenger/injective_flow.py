@@ -12,16 +12,20 @@ lifetime.  The same network without the injectivity requirement computes
 the maximum number of pairwise edge-disjoint temporal paths of an
 arbitrary temporal graph.
 
-networkx's Edmonds–Karp implementation does the flow work, once per
-call; this module owns the network shape, the deterministic walk
-decomposition, and the minimum cut read off the flow's residual graph
-and translated back into time labels.
+Both public functions run one solve, ``_max_flow``: networkx's
+Edmonds–Karp implementation does the flow work, once per call, and this
+module owns the network shape and the deterministic walk decomposition.
+Both return one :class:`FlowResult`; ``injective_connectivity`` adds the
+minimum cut read off the same flow's residual graph and translated back
+into time labels, and ``max_edge_disjoint_paths`` leaves ``cut_labels``
+``None``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
@@ -34,19 +38,15 @@ _SNK = ("snk",)
 
 
 @dataclass(frozen=True)
-class InjectiveResult:
-    """Packing number, witness family, and a minimum snapshot cut — the
-    two optima coincide on injective instances."""
+class FlowResult:
+    """Maximum family of pairwise edge-disjoint temporal s,z-paths and its
+    size.  ``cut_labels`` is a minimum snapshot cut of the same size on an
+    injective instance (where the two optima coincide), and ``None`` for
+    the edge-disjoint packing of an arbitrary instance."""
 
     value: int
     family: tuple
-    cut_labels: frozenset
-
-
-@dataclass(frozen=True)
-class EdgeDisjointResult:
-    value: int
-    family: tuple
+    cut_labels: Optional[frozenset]
 
 
 def _expanded_network(g: TemporalGraph, s, z) -> nx.DiGraph:
@@ -151,29 +151,37 @@ def _shortcut(walk: TemporalWalk) -> TemporalWalk:
         del edges[i:j]
 
 
-def max_edge_disjoint_paths(g: TemporalGraph, s, z) -> EdgeDisjointResult:
-    """Maximum family of pairwise edge-disjoint temporal s,z-paths, for
-    any temporal graph (labels may repeat)."""
-    check_terminals(g, s, z)
+def _max_flow(g: TemporalGraph, s, z) -> tuple:
+    """The one flow solve behind both public functions, on terminals the
+    caller has checked.  Returns ``(family, network, flow)``, the last two
+    ``None`` when *z* is unreachable and no network is built."""
     if reachable(g, s, z) is None:
-        return EdgeDisjointResult(0, ())
+        return (), None, None
     net = _expanded_network(g, s, z)
     value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)
-    walks = _trace_units(net, flow_dict, value, g)
-    family = tuple(_shortcut(w) for w in walks)
+    family = tuple(_shortcut(w) for w in _trace_units(net, flow_dict, value, g))
     used: set = set()
     for path in family:
         assert path.is_path and path.first == s and path.last == z
         assert not (set(path.edge_ids) & used), "paths must be edge disjoint"
         used |= set(path.edge_ids)
-    return EdgeDisjointResult(value, family)
+    return family, net, flow_dict
 
 
-def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
+def max_edge_disjoint_paths(g: TemporalGraph, s, z) -> FlowResult:
+    """Maximum family of pairwise edge-disjoint temporal s,z-paths, for
+    any temporal graph (labels may repeat); ``cut_labels`` is ``None``."""
+    check_terminals(g, s, z)
+    family, _, _ = _max_flow(g, s, z)
+    return FlowResult(len(family), family, None)
+
+
+def injective_connectivity(g: TemporalGraph, s, z) -> FlowResult:
     """Packing = covering for an injective instance, with both witnesses.
 
     Raises :class:`NotInjective` if any label repeats.  One maximum flow
-    gives both: the family comes from its decomposition, and the cut
+    gives both: the family comes from its decomposition (edge-disjoint
+    paths are snapshot disjoint when no label repeats), and the cut
     collects the labels of the edges whose unit arcs leave the part of the
     residual graph reachable from the source (all crossings are unit arcs
     because every other arc's capacity exceeds the flow value).
@@ -184,12 +192,9 @@ def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
         if e.t in seen:
             raise NotInjective(e.t)
         seen.add(e.t)
-    if reachable(g, s, z) is None:
-        return InjectiveResult(0, (), frozenset())
-    net = _expanded_network(g, s, z)
-    value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)
-    walks = _trace_units(net, flow_dict, value, g)
-    family = tuple(_shortcut(w) for w in walks)
+    family, net, flow_dict = _max_flow(g, s, z)
+    if net is None:
+        return FlowResult(0, (), frozenset())
     side_s = _residual_source_side(net, flow_dict)
     labels = set()
     for u in side_s:
@@ -198,10 +203,6 @@ def injective_connectivity(g: TemporalGraph, s, z) -> InjectiveResult:
                 assert u[0] == "in" and v[0] == "out", "cut must cross unit arcs"
                 labels.add(g.edge(u[1]).t)
     cut = frozenset(labels)
-    assert len(cut) == value, "injective labels make the cut size the flow value"
+    assert len(cut) == len(family), "injective labels make the cut size the flow value"
     assert reachable(g.without_labels(cut), s, z) is None
-    taken: set = set()
-    for path in family:
-        assert not (path.label_set & taken), "family must be snapshot disjoint"
-        taken |= path.label_set
-    return InjectiveResult(value, family, cut)
+    return FlowResult(len(family), family, cut)

@@ -51,25 +51,26 @@ def max_disjoint_masks(masks: Sequence[int]) -> tuple:
     the input order.
     """
     n = len(masks)
-    best_size = 0
     best: tuple = ()
     chosen: list = []
-
-    def go(i: int, union: int):
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        if i == n or len(chosen) + (n - i) <= best_size:
-            return
-        if not masks[i] & union:
-            chosen.append(i)
-            go(i + 1, union | masks[i])
-            chosen.pop()
-        go(i + 1, union)
-
-    go(0, 0)
-    return best_size, best
+    # Exclude branches still to visit: (index, union, number chosen).  The
+    # include branch is taken at once, so the stack pops them in the order
+    # the recursive search would return to them.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, union, depth = stack.pop()
+        del chosen[depth:]
+        while True:
+            if len(chosen) > len(best):
+                best = tuple(chosen)
+            if i == n or len(chosen) + (n - i) <= len(best):
+                break
+            if not masks[i] & union:
+                stack.append((i + 1, union, len(chosen)))
+                chosen.append(i)
+                union |= masks[i]
+            i += 1
+    return len(best), best
 
 
 def _disjoint_lower_bound(masks: list) -> int:
@@ -95,25 +96,30 @@ def min_hitting_set(masks: Sequence[int], universe: Sequence) -> tuple:
 
     k = len(universe)
 
-    def go(start: int, chosen: list, remaining: list) -> Optional[tuple]:
-        if not remaining:
-            return tuple(chosen)
-        slots = size - len(chosen)
+    def options(start: int, slots: int, remaining: list):
         if slots == 0 or _disjoint_lower_bound(remaining) > slots:
-            return None
-        for i in range(start, k - slots + 1):
-            bit = 1 << i
-            chosen.append(universe[i])
-            found = go(i + 1, chosen, [m for m in remaining if not m & bit])
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
+            return iter(())
+        return iter(range(start, k - slots + 1))
 
     for size in range(1, k + 1):
-        hit = go(0, [], need)
-        if hit is not None:
-            return size, hit
+        chosen: list = []
+        # frame: (index iterator, masks unhit); one frame per chosen index
+        # below the root, so any size of set fits the stack.
+        stack = [(options(0, size, need), need)]
+        while stack:
+            indices, remaining = stack[-1]
+            i = next(indices, None)
+            if i is None:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            bit = 1 << i
+            rest = [m for m in remaining if not m & bit]
+            if not rest:
+                return size, tuple(universe[j] for j in chosen + [i])
+            chosen.append(i)
+            stack.append((options(i + 1, size - len(chosen), rest), rest))
     raise MalformedInput("some mask cannot be hit from the given universe")
 
 

@@ -338,6 +338,21 @@ class TestExportDot:
         assert code == 0
         assert out.startswith("digraph product")
 
+    def test_product_parses_the_file_once(self, capsys, monkeypatch, triangle_file):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_graph(path)
+
+        monkeypatch.setattr(cli.formats, "load_graph", counting)
+        code, out, _ = run(
+            capsys, "export-dot", "-g", triangle_file, "--product", "-s", "a", "-z", "c"
+        )
+        assert code == 0
+        assert out.startswith("digraph product")
+        assert calls == [triangle_file]
+
     def test_product_needs_terminals_for_files(self, capsys, triangle_file):
         code, _, err = run(capsys, "export-dot", "-g", triangle_file, "--product")
         assert code == 2

@@ -120,6 +120,23 @@ class TestDecision:
         g = TemporalGraph([(0, "a", "b", 2), (1, "b", "c", 1)])
         assert not max_snapshot_disjoint(g, "a", "c", 1).found
 
+    def test_counts_match_the_full_exploration(self, demo, tight_gap, two_route):
+        # A NO answer explores everything build_product does; a YES answer
+        # stops early, so it explores at most that.
+        cases = [(demo, 2), (demo, 3), (tight_gap, 1), (tight_gap, 2), (two_route, 2)]
+        answers = set()
+        for fx, k in cases:
+            res = max_snapshot_disjoint(fx.graph, fx.s, fx.z, k)
+            full = build_product(fx.graph, fx.s, fx.z, k)
+            tuples, arcs = len(full.reachable_tuples), len(full.arcs)
+            if res.found:
+                assert res.tuples_materialized <= tuples
+                assert res.arcs_explored <= arcs
+            else:
+                assert (res.tuples_materialized, res.arcs_explored) == (tuples, arcs)
+            answers.add(res.found)
+        assert answers == {True, False}
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))

@@ -11,7 +11,11 @@ from tgmenger import injective_flow
 from tgmenger.core import TemporalGraph
 from tgmenger.cuts import is_snapshot_cut
 from tgmenger.errors import NotInjective
-from tgmenger.injective_flow import injective_connectivity, max_edge_disjoint_paths
+from tgmenger.injective_flow import (
+    FlowResult,
+    injective_connectivity,
+    max_edge_disjoint_paths,
+)
 from tgmenger.oracles import (
     brute_force_c,
     brute_force_edge_disjoint,
@@ -69,6 +73,17 @@ class TestNetwork:
         res = injective_connectivity(g, "s", "z")
         assert res.value == 2 and len(res.cut_labels) == 2
         assert len(seen) == 1
+
+    def test_both_solvers_return_one_result_type(self, demo):
+        packing = max_edge_disjoint_paths(demo.graph, "s", "z")
+        assert isinstance(packing, FlowResult)
+        assert packing.cut_labels is None
+        g = TemporalGraph([(0, "s", "a", 1), (1, "a", "z", 2)])
+        both = injective_connectivity(g, "s", "z")
+        assert isinstance(both, FlowResult)
+        assert both.cut_labels == frozenset({1})
+        unreachable = max_edge_disjoint_paths(g, "z", "s")
+        assert (unreachable.value, unreachable.cut_labels) == (0, None)
 
 
 class TestEdgeDisjoint:

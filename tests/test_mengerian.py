@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_mgraph
 from tgmenger.core import MGraph, TemporalGraph, has_m_topological_minor
 from tgmenger.errors import CatalogViolation, MalformedInput
+from tgmenger.fixtures import fixture_names, get_fixture
 from tgmenger.mengerian import (
     CatalogEntry,
     bad_labeling_for,
@@ -38,6 +39,19 @@ class TestCatalog:
         assert by_name.code == "M4"
         with pytest.raises(MalformedInput):
             catalog_entry("M9")
+
+    def test_codes_and_nicknames_are_fixtures(self):
+        assert fixture_names() == [
+            "demo", "tight-gap", "two-route",
+            "bowtie", "diamond", "doubled-cycle", "doubled-path",
+            "m1", "m2", "m3", "m4", "m5", "pendant-triangle",
+        ]
+        for entry in catalog():
+            for key in (entry.code, entry.code.lower(), entry.name):
+                fx = get_fixture(key)
+                assert fx.name == key.lower()
+                assert fx.graph is entry.labeling
+                assert (fx.s, fx.z) == (entry.s, entry.z)
 
     def test_labelings_open_a_gap(self):
         for entry in catalog():

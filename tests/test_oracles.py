@@ -68,6 +68,23 @@ class TestFixtureValues:
         assert (c.value, c.witness) == (0, frozenset())
         assert brute_force_multiedge_disjoint(g, "a", "c").value == 0
 
+    def test_large_optima_do_not_recurse(self):
+        # 1,100 parallel two-hop routes, route i at label i+1: every oracle
+        # answers 1,100, far deeper than the interpreter's recursion limit.
+        edges = []
+        for i in range(1100):
+            edges += [(2 * i, "s", f"v{i}", i + 1), (2 * i + 1, f"v{i}", "z", i + 1)]
+        g = TemporalGraph(edges)
+        for oracle in (
+            brute_force_p,
+            brute_force_c,
+            brute_force_edge_disjoint,
+            brute_force_multiedge_disjoint,
+            brute_force_multiedge_cut,
+        ):
+            assert oracle(g, "s", "z").value == 1100, oracle.__name__
+        assert brute_force_c(g, "s", "z").witness == frozenset(range(1, 1101))
+
     def test_path_limit(self, demo):
         with pytest.raises(LimitExceeded):
             brute_force_p(demo.graph, demo.s, demo.z, limit=2)
