@@ -3,7 +3,9 @@
 Every decision subcommand exits 0 for *yes* and 1 for *no*; malformed
 input exits 2 and a blown search budget exits 3.  Any other error is
 printed as ``error: ...`` on stderr and exits 4, so a crash is never
-mistaken for an answer.  ``--report FILE`` dumps a machine-readable
+mistaken for an answer.  A reader that closes standard output early (as
+``| head`` does) gets exit 141, the status of a process killed by
+SIGPIPE, and no error line.  ``--report FILE`` dumps a machine-readable
 record of the run (instance, question, answer, witness, wall time, work
 counters) next to the human-readable output.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -468,7 +471,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # Meet a closed pipe here, not in the interpreter's shutdown flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output, as `| head` does.  Quieten the
+        # shutdown flush and exit as a process killed by SIGPIPE would.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

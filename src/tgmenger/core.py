@@ -12,7 +12,11 @@ over that index answers all time-respecting reachability: run forward
 from a source it gives earliest arrivals and the parent edges of
 :func:`reachable`'s witness, run backward from a target it gives latest
 departures.  This is the label-ordered edge-stream pass of Wu et al.,
-"Path Problems in Temporal Graphs" (PVLDB 2014).
+"Path Problems in Temporal Graphs" (PVLDB 2014).  The sweep can skip a
+removal mask, a set of edges, and stop as soon as a target is reached, so
+the cut checks ask "is *z* still reachable once these labels or
+multiedges are gone?" of the graph itself instead of rebuilding it
+without them.
 
 The module also provides :class:`MGraph`, the untimed multigraph skeleton
 (vertices, links, multiplicities) used by the recognition machinery, plus
@@ -24,7 +28,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    AbstractSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .errors import (
     DecreasingLabel,
@@ -217,7 +230,7 @@ class TemporalGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalWalk:
     """A time-respecting walk, stored as its vertex and edge sequences.
 
@@ -342,7 +355,13 @@ def walk_from_labels(g: TemporalGraph, sequence: Sequence) -> TemporalWalk:
 # -- time-respecting reachability ------------------------------------------
 
 
-def _sweep(g: TemporalGraph, root: Vertex, forward: bool) -> tuple:
+def _sweep(
+    g: TemporalGraph,
+    root: Vertex,
+    forward: bool,
+    removed: AbstractSet[Edge] = frozenset(),
+    target: Optional[Vertex] = None,
+) -> tuple:
     """One pass over the label index from *root*: forward in increasing
     label order (walks leaving *root*), backward in decreasing order (walks
     ending at *root*).
@@ -352,11 +371,21 @@ def _sweep(g: TemporalGraph, root: Vertex, forward: bool) -> tuple:
     edge it was reached by.  Labels are met monotonically, so a vertex
     already reached is always in time for the current snapshot and one
     not yet reached never is.
+
+    Edges in the mask *removed* are skipped.  The survivors of a snapshot
+    keep their construction order, which is the order of the same
+    snapshot in a graph rebuilt without the removed edges, so both sweeps
+    reach the same vertices by the same parent edges.  The pass returns
+    as soon as *target* is reached: a vertex's parent is fixed when it is
+    first reached, so the parent chain back from *target* is already
+    final, but vertices reached later are missing from the result.
     """
     reached = {root: 0 if forward else INF}
     parent: dict = {}
     snapshots = g._snapshots.items()
     for t, snap in snapshots if forward else reversed(snapshots):
+        if removed:
+            snap = [e for e in snap if e not in removed]
         # Within one snapshot several hops at the same label may chain, so
         # iterate to a fixpoint (snapshots are tiny in practice).
         changed = True
@@ -367,6 +396,8 @@ def _sweep(g: TemporalGraph, root: Vertex, forward: bool) -> tuple:
                     if a in reached and b not in reached:
                         reached[b] = t
                         parent[b] = e
+                        if b == target:
+                            return reached, parent
                         changed = True
     return reached, parent
 
@@ -410,7 +441,16 @@ def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
         raise UnknownVertex(z)
     if s == z:
         return TemporalWalk((s,), ())
-    ea, parent = _sweep(g, s, forward=True)
+    return _walk_avoiding(g, s, z)
+
+
+def _walk_avoiding(
+    g: TemporalGraph, s: Vertex, z: Vertex, removed: AbstractSet[Edge] = frozenset()
+) -> Optional[TemporalWalk]:
+    """:func:`reachable`'s witness in *g* with the edges in *removed*
+    deleted, from one masked sweep that stops at *z*; the terminals are
+    distinct vertices of *g*."""
+    ea, parent = _sweep(g, s, True, removed, z)
     if z not in ea:
         return None
     rv = [z]

@@ -9,7 +9,8 @@ pruning, deterministic witnesses, and honest work accounting, not speed.
 Two engines produce provably identical answers:
 
 * subset enumeration in (size, lex) order over the pruned candidate list,
-  checking reachability after each removal;
+  checking reachability after each removal with one sweep of the graph
+  that skips the removed edges, so no check rebuilds the graph;
 * a minimum-hitting-set search over the label sets of *all* s,z-paths,
   explored in the same (size, lex) order.
 
@@ -45,6 +46,7 @@ from typing import Optional
 
 from .core import (
     TemporalGraph,
+    _walk_avoiding,
     check_terminals,
     earliest_arrival,
     enumerate_paths,
@@ -63,7 +65,7 @@ ENUMERATION_THRESHOLD = 50_000
 PATH_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """Outcome of any of the four cut searches.
 
@@ -111,9 +113,11 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
 
 
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
-    """Does removing every edge at the given labels separate z from s?"""
+    """Does removing every edge at the given labels separate z from s?
+    Labels not in the graph remove nothing."""
     check_terminals(g, s, z)
-    return reachable(g.without_labels(labels), s, z) is None
+    removed = {e for t in set(labels) for e in g.snapshot(t)}
+    return _walk_avoiding(g, s, z, removed) is None
 
 
 def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
@@ -124,9 +128,12 @@ def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
 
 
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
-    """Does removing the given multiedges separate z from s?"""
+    """Does removing the given multiedges separate z from s?  A pair may
+    come in either orientation; one that is not a multiedge raises
+    :class:`MissingMultiedge`."""
     check_terminals(g, s, z)
-    return reachable(g.without_multiedges(pairs), s, z) is None
+    removed = {e for pair in pairs for e in g.multiedge(*pair)}
+    return _walk_avoiding(g, s, z, removed) is None
 
 
 def _subset_bound(n: int, h: int) -> int:

@@ -230,7 +230,7 @@ def build_product(
     return product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathsResult:
     """Outcome of the snapshot-disjoint packing decision."""
 

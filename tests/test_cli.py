@@ -1,6 +1,10 @@
 """End-to-end command line exercises (main() called in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,25 @@ class TestUnexpectedErrors:
         assert code == 4
         assert err.startswith("error:")
         assert "solver broke" in err
+
+    def test_closed_pipe_exits_141(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tgmenger", "cut", "-g", "demo", "-k", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestMengerian:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import random_temporal_graph, terminals
 from tgmenger import cuts
-from tgmenger.core import TemporalGraph, reachable
-from tgmenger.errors import BudgetExceeded
-from tgmenger.gadgets import vc_gadget
+from tgmenger.core import TemporalGraph, _walk_avoiding, link_key, reachable
+from tgmenger.errors import BudgetExceeded, MissingMultiedge
+from tgmenger.gadgets import clique_gadget, vc_gadget
+from tgmenger.injective_flow import injective_connectivity
 from tgmenger.oracles import brute_force_c, brute_force_multiedge_cut
 
 
@@ -45,6 +46,81 @@ class TestPredicatesAndCandidates:
         cands = cuts.candidate_multiedges(demo.graph, demo.s, demo.z)
         assert all(pair == tuple(sorted(pair)) for pair in cands)
         assert cuts.is_multiedge_cut(demo.graph, demo.s, demo.z, cands)
+
+
+class TestMaskedCheck:
+    """The cut checks sweep the graph with the removed edges masked; they
+    must answer as :func:`reachable` on the graph rebuilt without them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_label_mask_matches_rebuilt_graph(self, seed):
+        g = random_temporal_graph(random.Random(seed))
+        rng = random.Random(seed + 3)
+        for s, z in terminals(g):
+            # labels 6 and 7 lie beyond max_label, so are never in the graph
+            labels = set(rng.sample(range(1, 8), rng.randint(0, 7)))
+            rebuilt = reachable(g.without_labels(labels), s, z)
+            assert cuts.is_snapshot_cut(g, s, z, labels) == (rebuilt is None)
+            removed = {e for e in g.edges if e.t in labels}
+            assert _walk_avoiding(g, s, z, removed) == rebuilt
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_multiedge_mask_matches_rebuilt_graph(self, seed):
+        g = random_temporal_graph(random.Random(seed))
+        rng = random.Random(seed + 4)
+        multiedges = sorted(g.multiedges())
+        for s, z in terminals(g):
+            pairs = rng.sample(multiedges, rng.randint(0, len(multiedges)))
+            # either orientation names the same multiedge
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rebuilt = reachable(g.without_multiedges(pairs), s, z)
+            assert cuts.is_multiedge_cut(g, s, z, pairs) == (rebuilt is None)
+            dropped = {link_key(u, v) for u, v in pairs}
+            removed = {e for e in g.edges if e.pair in dropped}
+            assert _walk_avoiding(g, s, z, removed) == rebuilt
+
+    def test_labels_outside_the_graph_remove_nothing(self, demo):
+        g, s, z = demo.graph, demo.s, demo.z
+        assert not cuts.is_snapshot_cut(g, s, z, {99, 100})
+        assert cuts.is_snapshot_cut(g, s, z, {2, 3, 99})
+
+    def test_missing_multiedge_is_rejected(self, demo):
+        g, s, z = demo.graph, demo.s, demo.z
+        with pytest.raises(MissingMultiedge):
+            cuts.is_multiedge_cut(g, s, z, [("s", "z")])
+        with pytest.raises(MissingMultiedge):
+            cuts.is_multiedge_cut(g, s, z, [("s", "u"), ("z", "s")])
+
+    def test_no_cut_check_builds_a_graph(self, monkeypatch):
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        clique = clique_gadget([0, 1, 2], triangle, {0: "a", 1: "b", 2: "c"})
+        cover = vc_gadget([0, 1, 2], triangle)
+        injective = TemporalGraph(
+            [
+                ("sa", "s", "a", 1),
+                ("sb", "s", "b", 2),
+                ("az", "a", "z", 3),
+                ("bz", "b", "z", 4),
+                ("ab", "a", "b", 6),
+            ]
+        )
+        builds = []
+        build = TemporalGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalGraph, "__init__", counting)
+        h = clique.manifest["cut_threshold"]
+        assert cuts.snapshot_cut_at_most(clique.graph, clique.s, clique.z, h).found
+        assert cuts.min_snapshot_cut(clique.graph, clique.s, clique.z).value == 3
+        assert not cuts.multiedge_cut_at_most(cover.graph, cover.s, cover.z, 3).found
+        assert cuts.min_multiedge_cut(cover.graph, cover.s, cover.z).value == 5
+        assert injective_connectivity(injective, "s", "z").value == 2
+        assert builds == []
 
 
 class TestSnapshotCut:
