@@ -136,8 +136,7 @@ def _cut_command(args, kind: str) -> int:
             witness = [list(p) for p in _sorted_pairs(res.multiedges)]
             if witness:
                 print(f"  remove multiedges {witness}")
-    work = "search nodes visited" if res.engine == "hitting" else "subsets checked"
-    print(f"engine {res.engine}, {res.subsets_checked} {work}, {elapsed:.3f}s")
+    print(f"engine {res.engine}, {res.subsets_checked} search nodes visited, {elapsed:.3f}s")
     _write_report(
         args.report,
         {

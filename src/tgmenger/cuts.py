@@ -6,31 +6,33 @@ parallel classes instead.  Both questions are decided exactly, which is
 exponential in the cut size — the point of these routines is careful
 pruning, deterministic witnesses, and honest work accounting, not speed.
 
-Two engines produce provably identical answers:
+One engine answers all four searches: a minimum hitting set of the path
+masks (the candidates each s,z-path uses), with the masks learnt lazily
+from reachability checks instead of listed up front.  Minimal cuts only
+use candidates, and a subset cuts the graph iff it hits every path mask.
 
-* subset enumeration in (size, lex) order over the pruned candidate list,
-  checking reachability after each removal with one sweep of the graph
-  that skips the removed edges, so no check rebuilds the graph;
-* a minimum-hitting-set search over the label sets of *all* s,z-paths,
-  explored in the same (size, lex) order.
+* Seed: each check is one masked sweep of the graph that returns an
+  s,z-path avoiding the removed candidates, so no check rebuilds the
+  graph.  Removing each found path's candidates in turn yields pairwise
+  disjoint masks, a lower bound on the cut size; more than *h* of them
+  answer no at once.  If every seed mask is a single candidate, their
+  union is the only cut of that size.
+* Search: a depth-first search picks candidate indices in increasing
+  order, one size at a time from the lower bound, so it meets the subsets
+  in (size, lex) order.  A mask whose highest bit lies below the index
+  just chosen can never be hit again, so each branch loop ends at the
+  lowest highest bit among the known masks still unhit, and a subtree is
+  skipped when more masks than it may still choose have pairwise disjoint
+  bits among the indices left to it.  A subset that hits every known mask
+  is checked; if it is no cut, the check's path gives a new mask that
+  misses the subset and all its prefixes, so every open frame learns it
+  and the search goes on from the same node.
 
-A subset cuts the graph iff it hits every path, and minimal cuts only use
-candidate labels, so both engines return the lexicographically least
-minimum-size witness.  The hitting search picks candidates in increasing
-index order, so a path mask whose highest bit lies below the index just
-chosen can never be hit again: each branch loop ends at the lowest
-highest bit among the masks still unhit.  It also skips a subtree when
-more masks than it may still choose have pairwise disjoint bits among the
-indices left to it.  Both rules drop only subtrees without a hitting set,
-so the surviving (size, lex) order finds the same witness.
-
-The enumeration engine is preferred while its subset count stays small
-and within the caller's budget; otherwise the hitting engine takes over
-when paths are enumerable, and enumeration runs anyway if it fits in the
-budget.  ``budget`` caps both engines: a subset count above it is refused
-before enumeration starts, each listed path costs one unit, and the
-hitting engine stops once the listed paths plus its search nodes exceed
-it.  Either way :class:`BudgetExceeded` is raised.
+Known masks only grow and every cut hits them, so the pruning drops no
+cut and the first subset confirmed is the lexicographically least
+minimum-size witness.  ``budget`` counts search nodes plus every
+reachability check after the first; :class:`BudgetExceeded` is raised as
+soon as they exceed it.
 
 All four searches (at most *h* or minimum, snapshot or multiedge) return
 one :class:`CutResult` shape: ``found``, ``value`` (the witness size),
@@ -39,7 +41,6 @@ the witness in ``labels`` or ``multiedges``, and the work accounting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -49,20 +50,10 @@ from .core import (
     _walk_avoiding,
     check_terminals,
     earliest_arrival,
-    enumerate_paths,
     latest_departure,
-    reachable,
     token_key,
 )
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    LimitExceeded,
-    MalformedInput,
-)
-
-ENUMERATION_THRESHOLD = 50_000
-PATH_LIMIT = 200_000
+from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +64,8 @@ class CutResult:
     cut's (the other stays ``None``); ``value`` is the witness size, ``None``
     when no cut within the bound exists.  A minimum-cut search always finds
     one.  The rest is work accounting: the candidate list searched, the
-    subsets checked or search nodes visited, the number of subsets of the
-    searched sizes, and the engine that ran.
+    search nodes visited, the number of subsets of the searched sizes, and
+    the engine that ran (always ``"hitting"``).
     """
 
     found: bool
@@ -140,35 +131,7 @@ def _subset_bound(n: int, h: int) -> int:
     return sum(math.comb(n, i) for i in range(min(n, h) + 1))
 
 
-# -- the two engines ------------------------------------------------------------
-
-
-def _enumerate_engine(candidates, sizes, is_cut):
-    """(size, lex)-ordered subset enumeration; returns (witness or None,
-    subsets checked)."""
-    checked = 0
-    for size in sizes:
-        for combo in itertools.combinations(candidates, size):
-            checked += 1
-            if is_cut(combo):
-                return frozenset(combo), checked
-    return None, checked
-
-
-def _path_masks(paths, candidates) -> list:
-    """One bit mask per distinct candidate set, in increasing order.
-
-    Masks that contain others are kept: whatever hits a mask hits every
-    mask containing it, and the search's pruning rules hold for any mask.
-    """
-    pos = {c: i for i, c in enumerate(candidates)}
-    masks = set()
-    for p in paths:
-        m = 0
-        for value in p:
-            m |= 1 << pos[value]
-        masks.add(m)
-    return sorted(masks)
+# -- the lazy hitting-set engine -----------------------------------------------
 
 
 def _branches(n: int, start: int, left: int, remaining: list) -> range:
@@ -199,95 +162,125 @@ def _branches(n: int, start: int, left: int, remaining: list) -> range:
     return range(start, stop)
 
 
-def _hitting_engine(candidates, sizes, masks, budget):
-    """Lexicographically least minimum hitting set among the given sizes;
-    returns (witness or None, nodes visited).  Raises
-    :class:`BudgetExceeded` once more than *budget* nodes are visited.
+def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple:
+    """Lexicographically least minimum hitting set, of size at most *most*,
+    of the masks over *n* candidates that *escape* reveals; returns
+    (witness bits or None, search nodes visited).
 
-    For each size, a depth-first search picks candidate indices in
-    increasing order, so it meets the subsets of that size in lex order.
-    :func:`_branches` drops only subtrees that hold no hitting set, so the
-    first one found is still the lexicographically least of the smallest
-    size.  The search keeps an explicit stack, one frame per chosen index,
-    so a cut of any size cannot exhaust the interpreter's recursion limit.
+    ``escape(picked)`` returns the mask of an s,z-path that uses none of
+    the candidates in the bit set *picked*, or ``None`` when *picked* is a
+    cut; *first* is the mask of the path found with nothing removed.  Each
+    search node and each call of *escape* costs one unit, and
+    :class:`BudgetExceeded` is raised once more than *budget* are spent.
+    The search keeps an explicit stack, one frame per chosen index, so a
+    cut of any size cannot exhaust the interpreter's recursion limit.
     """
-    if not masks:
-        return frozenset(), 0
-    n = len(candidates)
-    visited = 0
-    for size in sizes:
-        if size == 0:
-            continue
-        chosen: list = []
+    spent = 0
+
+    def charge() -> None:
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetExceeded(spent, budget, "cut hitting-set search")
+
+    known = [first]
+    removed = first
+    while len(known) <= most:
+        charge()
+        m = escape(removed)
+        if m is None:
+            break
+        known.append(m)
+        removed |= m
+    else:
+        return None, 0
+    if all(m & (m - 1) == 0 for m in known):
+        charge()
+        return removed, 1
+    nodes = 0
+    for size in range(len(known), most + 1):
+        # the bits picked before each frame's choice
+        prefixes = [0]
         # frame: (index iterator, choices left after this one, masks unhit)
-        stack = [(iter(_branches(n, 0, size, masks)), size - 1, masks)]
+        stack = [(iter(_branches(n, 0, size, known)), size - 1, known)]
         while stack:
             indices, left, remaining = stack[-1]
             i = next(indices, None)
             if i is None:
                 stack.pop()
-                if chosen:
-                    chosen.pop()
+                prefixes.pop()
                 continue
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(visited, budget, "cut hitting-set search")
-            bit = 1 << i
-            rest = [m for m in remaining if not m & bit]
+            nodes += 1
+            charge()
+            picked = prefixes[-1] | 1 << i
+            rest = [m for m in remaining if not m & picked]
             if not rest:
-                return frozenset(candidates[j] for j in chosen + [i]), visited
-            chosen.append(i)
+                charge()
+                m = escape(picked)
+                if m is None:
+                    return picked, nodes
+                # The path misses every prefix of *picked* too, so every
+                # open frame learns its mask.
+                for _, _, unhit in stack:
+                    unhit.append(m)
+                rest = [m]
+            prefixes.append(picked)
             stack.append((iter(_branches(n, i + 1, left, rest)), left - 1, rest))
-    return None, visited
+    return None, nodes
 
 
 def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """The steps all four cut searches share: validate, answer the empty
-    cut when *z* is already unreachable, then pick an engine and run it
+    cut when *z* is already unreachable, then run the hitting-set search
     over the candidates.  ``h=None`` asks for a minimum cut.
     """
     if h is not None and h < 0:
         raise MalformedInput("cut size bound must be >= 0")
     check_terminals(g, s, z)
-    if multiedge:
-        candidates_of, is_cut = candidate_multiedges, is_multiedge_cut
+    walk = _walk_avoiding(g, s, z)
+    if walk is None:
+        witness, cand, checked, bound = frozenset(), (), 0, 1
     else:
-        candidates_of, is_cut = candidate_labels, is_snapshot_cut
-    if reachable(g, s, z) is None:
-        witness, cand, checked, bound, engine = frozenset(), (), 0, 1, "enumeration"
-    else:
-        cand = candidates_of(g, s, z)
-        max_size = len(cand) if h is None else h
-        sizes = range(0, min(max_size, len(cand)) + 1)
-        bound = _subset_bound(len(cand), max_size)
-        paths = None
-        if bound > min(ENUMERATION_THRESHOLD, budget):
-            # Too many subsets to enumerate cheaply: hit the s,z-paths
-            # instead if there are few enough of them to list.  Each listed
-            # path is charged against the budget.
-            try:
-                paths = enumerate_paths(g, s, z, limit=min(PATH_LIMIT, budget))
-            except LimitExceeded:
-                pass
-        if paths is not None:
-            masks = _path_masks(
-                (p.multiedge_pairs if multiedge else p.label_set for p in paths), cand
-            )
-            try:
-                witness, checked = _hitting_engine(cand, sizes, masks, budget - len(paths))
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(
-                    len(paths) + exc.required, budget,
-                    "cut path listing and hitting-set search",
-                ) from None
-            engine = "hitting"
-        elif bound <= budget:
-            witness, checked = _enumerate_engine(
-                cand, sizes, lambda combo: is_cut(g, s, z, combo)
-            )
-            engine = "enumeration"
+        if multiedge:
+            cand = candidate_multiedges(g, s, z)
+            edges_of = [g.multiedge(*pair) for pair in cand]
         else:
-            raise BudgetExceeded(bound, budget, "cut subset enumeration")
+            cand = candidate_labels(g, s, z)
+            edges_of = [g.snapshot(t) for t in cand]
+        pos = {c: 1 << i for i, c in enumerate(cand)}
+
+        def mask(path) -> int:
+            m = 0
+            for c in path.multiedge_pairs if multiedge else path.label_set:
+                m |= pos[c]
+            return m
+
+        # The removed edges of the last check, reused when the next one
+        # removes a superset, as every seed check after the first does.
+        removed: set = set()
+        last = 0
+
+        def escape(picked: int) -> Optional[int]:
+            nonlocal last
+            if picked & last != last:
+                removed.clear()
+                last = 0
+            new, last = picked & ~last, picked
+            while new:
+                bit = new & -new
+                removed.update(edges_of[bit.bit_length() - 1])
+                new ^= bit
+            path = _walk_avoiding(g, s, z, removed)
+            return None if path is None else mask(path)
+
+        max_size = len(cand) if h is None else h
+        bound = _subset_bound(len(cand), max_size)
+        picked, checked = _hitting_search(
+            len(cand), min(max_size, len(cand)), mask(walk), escape, budget
+        )
+        witness = None if picked is None else frozenset(
+            c for i, c in enumerate(cand) if picked >> i & 1
+        )
         assert h is not None or witness is not None, "the full candidate set must be a cut"
     return CutResult(
         witness is not None,
@@ -297,7 +290,7 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
         cand,
         checked,
         bound,
-        engine,
+        "hitting",
     )
 
 

@@ -7,8 +7,8 @@ from "the computation refused to run" without string matching.
 
 from __future__ import annotations
 
-# Work units (tuples, subsets, search nodes) a budgeted search may spend
-# when the caller names no budget.
+# Work units (product tuples, or cut search nodes and reachability checks)
+# a budgeted search may spend when the caller names no budget.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -81,8 +81,12 @@ class ImproperColoring(MalformedInput):
 
 
 class BudgetExceeded(TemporalGraphError):
-    """An exhaustive search would exceed its work budget.  It was either
-    refused before any work ran or stopped as soon as the budget ran out."""
+    """An exhaustive search would exceed its work budget.
+
+    The product search counts tuples and is refused before any work runs
+    when its tuple bound exceeds the budget.  The cut search counts one
+    unit per search node and per reachability check after the first, and
+    stops as soon as they exceed the budget."""
 
     def __init__(self, required, budget, what="search space"):
         self.required = required

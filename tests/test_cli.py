@@ -78,7 +78,7 @@ class TestCuts:
         assert "remove snapshots [2, 3]" in out
         doc = json.loads(report.read_text())
         assert doc["witness"] == [2, 3]
-        assert doc["budget_used"]["engine"] in ("enumeration", "hitting")
+        assert doc["budget_used"]["engine"] == "hitting"
 
     def test_cut_no(self, capsys):
         code, out, _ = run(capsys, "cut", "-g", "demo", "-k", "1")
@@ -99,7 +99,8 @@ class TestCuts:
         assert "remove snapshots [1]" in out
 
     def test_hitting_engine_counts_search_nodes(self, capsys, tmp_path):
-        # 30 parallel two-hop routes, one label each: 2^30 subsets, 30 paths.
+        # 30 parallel two-hop routes, one label each: 2^30 subsets, but the
+        # seed's 30 single-label paths are the cut, found in one node.
         path = tmp_path / "routes.edges"
         path.write_text("".join(f"s v{i} {i + 1}\nv{i} z {i + 1}\n" for i in range(30)))
         report = tmp_path / "cut.json"
@@ -108,10 +109,10 @@ class TestCuts:
             "--report", str(report),
         )
         assert code == 0
-        assert "engine hitting, 30 search nodes visited" in out
+        assert "engine hitting, 1 search nodes visited" in out
         assert "subsets checked" not in out
         used = json.loads(report.read_text())["budget_used"]
-        assert (used["engine"], used["subsets_checked"]) == ("hitting", 30)
+        assert (used["engine"], used["subsets_checked"]) == ("hitting", 1)
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
-"""Snapshot and multiedge cut search, both engines."""
+"""Snapshot and multiedge cut search."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -150,7 +151,7 @@ class TestSnapshotCut:
 
     def test_accounting_fields(self, demo):
         res = cuts.snapshot_cut_at_most(demo.graph, demo.s, demo.z, 2)
-        assert res.engine in ("enumeration", "hitting")
+        assert res.engine == "hitting"
         assert 0 < res.subsets_checked <= res.subset_bound
         assert res.subset_bound == cuts._subset_bound(len(res.candidates), 2)
 
@@ -183,55 +184,60 @@ class TestMultiedgeCut:
 
 
 class TestEngines:
-    def test_hitting_set_engine_agrees(self, monkeypatch, demo, tight_gap, two_route):
-        fixtures = [demo, tight_gap, two_route]
-        defaults = [
-            cuts.min_snapshot_cut(fx.graph, fx.s, fx.z) for fx in fixtures
-        ]
-        monkeypatch.setattr(cuts, "ENUMERATION_THRESHOLD", 0)
-        for fx, base in zip(fixtures, defaults):
-            forced = cuts.min_snapshot_cut(fx.graph, fx.s, fx.z)
-            assert forced.engine == "hitting" != base.engine
-            assert (forced.value, forced.labels) == (base.value, base.labels)
+    def test_hitting_set_engine_agrees(self, demo, tight_gap, two_route):
+        for fx in (demo, tight_gap, two_route):
+            g, s, z = fx.graph, fx.s, fx.z
+            res = cuts.min_snapshot_cut(g, s, z)
+            oracle = brute_force_c(g, s, z)
+            assert res.engine == "hitting"
+            assert (res.value, res.labels) == (oracle.value, oracle.witness)
+            mres = cuts.min_multiedge_cut(g, s, z)
+            oracle = brute_force_multiedge_cut(g, s, z)
+            assert mres.engine == "hitting"
+            assert (mres.value, mres.multiedges) == (oracle.value, oracle.witness)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_engines_agree_on_randoms(self, seed):
         g = random_temporal_graph(random.Random(seed))
-        pairs = terminals(g)[:6]
-        for s, z in pairs:
-            base = cuts.min_snapshot_cut(g, s, z)
-            try:
-                forced_threshold = cuts.ENUMERATION_THRESHOLD
-                cuts.ENUMERATION_THRESHOLD = 0
-                forced = cuts.min_snapshot_cut(g, s, z)
-            finally:
-                cuts.ENUMERATION_THRESHOLD = forced_threshold
-            assert (forced.value, forced.labels) == (base.value, base.labels)
+        for s, z in terminals(g)[:6]:
+            for search, oracle, field in (
+                (cuts.snapshot_cut_at_most, brute_force_c, "labels"),
+                (cuts.multiedge_cut_at_most, brute_force_multiedge_cut, "multiedges"),
+            ):
+                truth = oracle(g, s, z)
+                for h in range(4):
+                    res = search(g, s, z, h)
+                    if truth.value <= h:
+                        assert (res.value, getattr(res, field)) == (truth.value, truth.witness)
+                    else:
+                        assert (res.found, res.value, getattr(res, field)) == (False, None, None)
 
-    def test_budget_exhaustion(self, monkeypatch, demo):
-        monkeypatch.setattr(cuts, "ENUMERATION_THRESHOLD", 0)
-        monkeypatch.setattr(cuts, "PATH_LIMIT", 0)
+    def test_budget_exhaustion(self, demo):
         with pytest.raises(BudgetExceeded):
             cuts.snapshot_cut_at_most(demo.graph, demo.s, demo.z, 2, budget=0)
 
     def test_budget_caps_both_engines(self):
+        # The budget caps both phases: the seed's reachability checks and
+        # the search nodes.
         inst = vc_gadget(range(5), list(itertools.combinations(range(5), 2)))
         g, s, z = inst.graph, inst.s, inst.z
-        # 27,776 subsets fit the enumeration threshold but not the budget,
-        # so the hitting engine answers instead: listing K5's 30 paths and
-        # the search both fit in the budget.
-        res = cuts.multiedge_cut_at_most(g, s, z, 3, budget=100)
+        # For h=3 the seed finds four multiedge-disjoint paths after three
+        # checks beyond the first, so the answer is no before any search.
+        res = cuts.multiedge_cut_at_most(g, s, z, 3, budget=3)
         assert not res.found
-        assert res.engine == "hitting" and res.subsets_checked <= 100 - 30
-        # The hitting engine needs 15,604 search nodes for h=8.
+        assert res.engine == "hitting" and res.subsets_checked == 0
+        with pytest.raises(BudgetExceeded):
+            cuts.multiedge_cut_at_most(g, s, z, 3, budget=2)
+        # The search needs 16,318 nodes for h=8.
         assert cuts.multiedge_cut_at_most(g, s, z, 8).subsets_checked > 10_000
         with pytest.raises(BudgetExceeded):
             cuts.multiedge_cut_at_most(g, s, z, 8, budget=10_000)
 
     def test_path_listing_is_charged_to_the_budget(self):
         # s, four layers of 7 vertices, z; each layer pair is joined at two
-        # labels, so far more than PATH_LIMIT paths run through 10 labels.
+        # labels, so more than 200,000 paths run through 10 labels.  The
+        # search learns the few it needs from reachability checks.
         layers = [["s"]] + [[f"{i}.{j}" for j in range(7)] for i in range(4)] + [["z"]]
         edges = []
         for i, (a, b) in enumerate(zip(layers, layers[1:])):
@@ -239,9 +245,16 @@ class TestEngines:
                 edges.append((len(edges), u, v, t))
         g = TemporalGraph(edges)
         started = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
-            cuts.snapshot_cut_at_most(g, "s", "z", 1, budget=1)
+        res = cuts.min_snapshot_cut(g, "s", "z")
         assert time.perf_counter() - started < 0.5
+        assert cuts.is_snapshot_cut(g, "s", "z", res.labels)
+        assert len(res.labels) == res.value
+        assert not cuts.snapshot_cut_at_most(g, "s", "z", res.value - 1).found
+        # Two disjoint paths answer h=1 with one check beyond the first;
+        # the minimum needs more.
+        assert not cuts.snapshot_cut_at_most(g, "s", "z", 1, budget=1).found
+        with pytest.raises(BudgetExceeded):
+            cuts.min_snapshot_cut(g, "s", "z", budget=1)
 
     def test_large_cut_does_not_recurse(self):
         # 1,100 parallel two-hop routes, route i at label i+1: every label
@@ -268,14 +281,19 @@ class TestHittingEngine:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_witness_is_lex_least_minimum(self, data):
+        # A hidden mask family stands in for the paths: the callback
+        # reveals one mask the picked bits miss, chosen by a drawn order.
         n = data.draw(st.integers(1, 12))
-        raw = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
-        masks = cuts._path_masks(
-            ([i for i in range(n) if m >> i & 1] for m in raw), tuple(range(n))
-        )
-        sizes = range(data.draw(st.integers(0, n)) + 1)
-        witness, _ = cuts._hitting_engine(tuple(range(n)), sizes, masks, 10**9)
-        assert witness == self.brute_force(n, masks, sizes)
+        hidden = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
+        order = data.draw(st.permutations(hidden))
+        most = data.draw(st.integers(0, n))
+
+        def escape(picked):
+            return next((m for m in order if not m & picked), None)
+
+        bits, _ = cuts._hitting_search(n, most, escape(0), escape, 10**9)
+        witness = None if bits is None else frozenset(i for i in range(n) if bits >> i & 1)
+        assert witness == self.brute_force(n, hidden, range(most + 1))
 
     def test_pruned_node_count(self):
         # Unpruned, this search visited 694,898 nodes.
@@ -322,3 +340,66 @@ def test_min_multiedge_cut_matches_oracle(seed):
             assert cuts.is_multiedge_cut(g, s, z, res.multiedges)
             below = cuts.multiedge_cut_at_most(g, s, z, res.value - 1)
             assert (below.found, below.value, below.multiedges) == (False, None, None)
+
+
+# sha256 of the four cut searches' answers over the corpus below, recorded
+# from the subset-enumeration and path-listing engines this search replaced.
+ANSWER_DIGEST = "5cd1a0c6bf5b6b8e84257a13c248fbf127264fb39af70a169ce50c655e1d96e0"
+
+
+def corpus_answers():
+    """(found, value, witness, candidates, subset_bound) of every cut search
+    at h = 0-3 and at the minimum, over 300 seeded random graphs (every
+    fifth one larger) and up to 4 terminal pairs each, with the result."""
+    for i in range(300):
+        rng = random.Random(i)
+        if i % 5 == 4:
+            g = random_temporal_graph(rng, max_vertices=7, max_edges=12, max_label=6)
+        else:
+            g = random_temporal_graph(rng)
+        pairs = terminals(g)
+        for s, z in rng.sample(pairs, min(4, len(pairs))):
+            for field, at_most, minimum in (
+                ("labels", cuts.snapshot_cut_at_most, cuts.min_snapshot_cut),
+                ("multiedges", cuts.multiedge_cut_at_most, cuts.min_multiedge_cut),
+            ):
+                for res in [at_most(g, s, z, h) for h in range(4)] + [minimum(g, s, z)]:
+                    witness = getattr(res, field)
+                    key = (
+                        res.found,
+                        res.value,
+                        None if witness is None else sorted(witness),
+                        res.candidates,
+                        res.subset_bound,
+                    )
+                    yield key, res
+
+
+def test_answers_match_recorded_digest():
+    digest = hashlib.sha256()
+    for key, res in corpus_answers():
+        digest.update(repr(key).encode())
+        assert res.subsets_checked <= res.subset_bound
+    assert digest.hexdigest() == ANSWER_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 60))
+def test_budget_answers_in_full_or_raises(seed, budget):
+    g = random_temporal_graph(random.Random(seed))
+    rng = random.Random(seed + 5)
+    pairs = terminals(g)
+    h = rng.randint(0, 3)
+    for s, z in rng.sample(pairs, min(3, len(pairs))):
+        for search in (
+            lambda **kw: cuts.snapshot_cut_at_most(g, s, z, h, **kw),
+            lambda **kw: cuts.multiedge_cut_at_most(g, s, z, h, **kw),
+            lambda **kw: cuts.min_snapshot_cut(g, s, z, **kw),
+            lambda **kw: cuts.min_multiedge_cut(g, s, z, **kw),
+        ):
+            unbudgeted = search()
+            try:
+                res = search(budget=budget)
+            except BudgetExceeded:
+                continue
+            assert res == unbudgeted
