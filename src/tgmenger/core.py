@@ -451,8 +451,12 @@ def _walk_avoiding(
     deleted, from one masked sweep that stops at *z*; the terminals are
     distinct vertices of *g*."""
     ea, parent = _sweep(g, s, True, removed, z)
-    if z not in ea:
-        return None
+    return _walk_back(parent, s, z) if z in ea else None
+
+
+def _walk_back(parent: Mapping, s: Vertex, z: Vertex) -> TemporalWalk:
+    """The walk from *s* to *z* that follows each vertex's parent edge
+    back from *z*."""
     rv = [z]
     re = []
     cur = z

@@ -7,12 +7,14 @@ them).  A tuple is admissible when its entries carry pairwise distinct
 labels, except that several coordinates may sit on the same sentinel.
 One move advances a single coordinate — one holding the minimum label —
 along the relation "shares an endpoint, label does not decrease"; source
-moves onto edges at s, and edges at z may move onto the sink.
+moves onto edges at s, and edges at z may move onto the sink.  Each
+member's moves come from the incidence lists of its endpoints, and a move
+is admissible when no other coordinate holds its label.
 
 The all-source tuple reaches the all-sink tuple iff the k-family exists;
 the per-coordinate move sequences then carry pairwise disjoint label sets,
-and restricting the graph to one coordinate's edges and re-running
-reachability extracts an actual path per coordinate.
+and one pass over each coordinate's moves, keeping the edge that first
+reaches each vertex, reads off an actual path per coordinate.
 
 One breadth-first search over the tuples serves both the decision, which
 stops at the first sight of the all-sink tuple, and the full exploration
@@ -27,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, TemporalWalk, check_terminals, reachable
+from .core import TemporalGraph, _walk_back, check_terminals
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 
 DOT_VERTEX_LIMIT = 500
@@ -68,27 +70,26 @@ class ProductDigraph:
         edges = g.sorted_edges()
         m = len(edges)
         self.tuple_bound = (m + 2) ** k
-        self.budget = budget
         if self.tuple_bound > budget:
             raise BudgetExceeded(self.tuple_bound, budget, "product tuple space")
         # Member 0 is the source token, members 1..m the edges in id order,
-        # member m+1 the sink token.
+        # member m+1 the sink token.  The sentinels' labels, 0 and
+        # lifetime + 1, belong to them alone.
         self.members: tuple = (SOURCE, *edges, SINK)
         self.lam: tuple = (0, *(e.t for e in edges), g.lifetime + 1)
-        self.src_ix = 0
         self.snk_ix = m + 1
-        succ: list = [[] for _ in self.members]
-        succ[0] = [i for i, e in enumerate(edges, start=1) if e.touches(s)]
+        self._index = index = {SOURCE: 0, SINK: m + 1}
+        index.update((e.eid, i) for i, e in enumerate(edges, start=1))
+        # A member moves onto the edges that share an endpoint with it and
+        # carry no smaller label, in member order; an edge at z also onto
+        # the sink.
+        succ = [tuple(sorted(index[e.eid] for e in g.incident(s)))]
         for i, e in enumerate(edges, start=1):
-            moves = [
-                j
-                for j, f in enumerate(edges, start=1)
-                if j != i and f.t >= e.t and (f.touches(e.u) or f.touches(e.v))
-            ]
-            if e.touches(z):
-                moves.append(self.snk_ix)
-            succ[i] = moves
-        self.succ: tuple = tuple(tuple(v) for v in succ)
+            near = {index[f.eid] for f in g.incident(e.u) + g.incident(e.v) if f.t >= e.t}
+            near.discard(i)
+            succ.append(tuple(sorted(near)) + ((m + 1,) if e.touches(z) else ()))
+        succ.append(())
+        self.succ: tuple = tuple(succ)
         self.start: tuple = (0,) * k
         self.goal: tuple = (self.snk_ix,) * k
         self.reachable_tuples: Optional[frozenset] = None
@@ -98,14 +99,10 @@ class ProductDigraph:
 
     def member_index(self, token) -> int:
         """Index of an edge id or of the SOURCE/SINK sentinel."""
-        if token is SOURCE:
-            return self.src_ix
-        if token is SINK:
-            return self.snk_ix
-        for i, mem in enumerate(self.members):
-            if not isinstance(mem, _Sentinel) and mem.eid == token:
-                return i
-        raise MalformedInput(f"no product member for token {token!r}")
+        try:
+            return self._index[token]
+        except (KeyError, TypeError):
+            raise MalformedInput(f"no product member for token {token!r}") from None
 
     def tuple_of(self, tokens) -> tuple:
         vt = tuple(self.member_index(t) for t in tokens)
@@ -114,37 +111,25 @@ class ProductDigraph:
         return vt
 
     def is_valid(self, vt: tuple) -> bool:
-        """Pairwise distinct labels, except repeated sentinels."""
-        seen: dict = {}
-        for ix in vt:
-            lab = self.lam[ix]
-            if lab in seen:
-                if seen[lab] != ix or ix not in (self.src_ix, self.snk_ix):
-                    return False
-            seen[lab] = ix
-        return True
+        """The edges' labels are pairwise distinct (sentinels may repeat)."""
+        labs = [self.lam[ix] for ix in vt if 0 < ix < self.snk_ix]
+        return len(set(labs)) == len(labs)
 
     def successors(self, vt: tuple) -> list:
         """Admissible one-move extensions, advancing only coordinates that
-        hold the minimum label, in (coordinate, move) order."""
-        labs = [self.lam[ix] for ix in vt]
+        hold the minimum label, in (coordinate, move) order.  A move is
+        admissible when it lands on the sink or on a label no other
+        coordinate holds."""
+        lam = self.lam
+        labs = [lam[ix] for ix in vt]
         mu = min(labs)
         out = []
         for pos, ix in enumerate(vt):
             if labs[pos] != mu:
                 continue
+            others = labs[:pos] + labs[pos + 1 :]
             for j in self.succ[ix]:
-                new_lab = self.lam[j]
-                ok = True
-                for q, other in enumerate(vt):
-                    if q == pos:
-                        continue
-                    if self.lam[other] == new_lab and (
-                        other != j or j not in (self.src_ix, self.snk_ix)
-                    ):
-                        ok = False
-                        break
-                if ok:
+                if j == self.snk_ix or lam[j] not in others:
                     out.append((pos, j, vt[:pos] + (j,) + vt[pos + 1 :]))
         return out
 
@@ -245,31 +230,35 @@ class PathsResult:
 def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     """Recover one temporal path per coordinate from the goal's ancestry.
 
-    Coordinate moves along the walk have non-decreasing labels and the
-    admissibility invariant keeps the k coordinates' label sets pairwise
-    disjoint, so restricting the graph to one coordinate's edges and
-    asking for any time-respecting path yields the required family.
+    A coordinate's labels never decrease along the walk, and each move
+    lands on an edge sharing an endpoint with the one before, so replaying
+    a coordinate's moves in order is the label sweep of :func:`reachable`
+    over the graph of that coordinate's edges: each edge already has a
+    reached endpoint, and the edge that first reaches a vertex is its
+    parent.  The admissibility invariant keeps the k coordinates' label
+    sets pairwise disjoint, so the paths walked back from z form the
+    required family.
     """
-    g = product.graph
+    s, z = product.s, product.z
     trail = []
     cur = product.goal
     while cur != product.start:
         prev, pos, new_ix = parents[cur]
         trail.append((pos, new_ix))
         cur = prev
-    trail.reverse()
-    chains: list = [{} for _ in range(product.k)]
-    for pos, ix in trail:
-        if ix not in (product.src_ix, product.snk_ix):
-            # A coordinate may revisit an edge; the restricted graph only
-            # cares about the set.
-            chains[pos][ix] = product.members[ix]
+    reached_by: list = [{s: None} for _ in range(product.k)]
+    for pos, ix in reversed(trail):
+        if ix == product.snk_ix:
+            continue
+        e = product.members[ix]
+        via = reached_by[pos]
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            if a in via and b not in via:
+                via[b] = e
     family = []
-    for chain in chains:
-        sub = TemporalGraph(chain.values(), vertices=g.vertices)
-        path = reachable(sub, product.s, product.z)
-        assert path is not None, "coordinate chain must connect the terminals"
-        family.append(path)
+    for via in reached_by:
+        assert z in via, "coordinate chain must connect the terminals"
+        family.append(_walk_back(via, s, z))
     seen_labels: set = set()
     for path in family:
         assert not (path.label_set & seen_labels), "family must be snapshot disjoint"

@@ -82,10 +82,16 @@ def document_to_graph(doc) -> TemporalGraph:
     for i, item in enumerate(raw_edges):
         if not isinstance(item, dict) or not {"u", "v", "t"} <= set(item):
             raise MalformedInput(f"edge #{i} must be an object with u, v, t")
-        edges.append((item.get("id", i), item["u"], item["v"], item["t"]))
+        edge = (item.get("id", i), item["u"], item["v"], item["t"])
+        # Arrays and objects cannot name a vertex or an edge.
+        if any(isinstance(x, (list, dict)) for x in edge[:3]):
+            raise MalformedInput(f"edge #{i}: an id or endpoint cannot be an array or object")
+        edges.append(edge)
     vertices = doc.get("vertices", [])
     if not isinstance(vertices, list):
         raise MalformedInput("'vertices' must be a list")
+    if any(isinstance(v, (list, dict)) for v in vertices):
+        raise MalformedInput("a vertex cannot be an array or object")
     return TemporalGraph(edges, vertices=vertices)
 
 

@@ -206,35 +206,21 @@ def brute_force_multiedge_cut(
 
 
 def max_independent_set(vertices: Sequence, edges: Iterable[tuple]) -> OracleValue:
-    """Maximum independent set of a simple graph, by branch and bound."""
+    """Maximum independent set of a simple graph, by branch and bound.
+
+    Vertices are independent exactly when their incident-edge masks are
+    disjoint, so :func:`max_disjoint_masks` runs the search.
+    """
     verts = list(vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [0] * n
-    for u, v in edges:
+    masks = [0] * len(verts)
+    for bit, (u, v) in enumerate(edges):
         if u == v:
             raise MalformedInput(f"loop at {u!r}")
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
-    best_size = 0
-    best: tuple = ()
-    chosen: list = []
-
-    def go(i: int, blocked: int):
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        if i == n or len(chosen) + (n - i) <= best_size:
-            return
-        if not blocked & (1 << i):
-            chosen.append(verts[i])
-            go(i + 1, blocked | adj[i])
-            chosen.pop()
-        go(i + 1, blocked)
-
-    go(0, 0)
-    return OracleValue(best_size, frozenset(best))
+        masks[pos[u]] |= 1 << bit
+        masks[pos[v]] |= 1 << bit
+    size, chosen = max_disjoint_masks(masks)
+    return OracleValue(size, frozenset(verts[i] for i in chosen))
 
 
 def min_vertex_cover(vertices: Sequence, edges: Iterable[tuple]) -> OracleValue:

@@ -323,6 +323,17 @@ class TestGadget:
         manifest = json.loads((tmp_path / "vc.manifest.json").read_text())
         assert manifest["n"] == 2 and manifest["tau"] == 1
 
+    @pytest.mark.parametrize("kind", ["indep-set", "vertex-cover"])
+    def test_large_edgeless_source(self, capsys, tmp_path, kind):
+        source = tmp_path / "src.json"
+        source.write_text(json.dumps({"vertices": list(range(1100)), "edges": []}))
+        code, out, err = run(
+            capsys,
+            "gadget", kind, "--source", str(source), "--out", str(tmp_path / "g.json"),
+        )
+        assert (code, err) == (0, "")
+        assert "1100" in out
+
     def test_bad_source_document(self, capsys, tmp_path):
         source = tmp_path / "src.json"
         source.write_text("[1, 2, 3]")
@@ -381,3 +392,21 @@ class TestExportDot:
         code, _, err = run(capsys, "export-dot", "-g", triangle_file, "--product")
         assert code == 2
         assert "-s and -z" in err
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": [["a"]], "edges": [{"u": "a", "v": "b", "t": 1}]},
+            {"edges": [{"u": {"a": 1}, "v": "b", "t": 1}]},
+            {"edges": [{"id": [0], "u": "a", "v": "b", "t": 1}]},
+        ],
+        ids=["vertex", "endpoint", "edge-id"],
+    )
+    def test_array_or_object_names_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "cut", "-g", str(path), "-s", "a", "-z", "b", "-k", "1")
+        assert code == 2
+        assert "array or object" in err

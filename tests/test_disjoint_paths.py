@@ -1,5 +1,6 @@
 """Snapshot-disjoint path packing through the product digraph."""
 
+import hashlib
 import random
 
 import pytest
@@ -75,6 +76,7 @@ class TestReachableTuples:
         # so the goal is only reached through az3
         assert not prod.contains(["sb2", "az2"])
         assert not prod.contains(["nonsense", SOURCE])
+        assert not prod.contains([["sa1"], SOURCE])
 
     def test_successors_advance_minimum_label_only(self, two_route):
         prod = build_product(two_route.graph, "s", "z", 2)
@@ -137,6 +139,19 @@ class TestDecision:
             answers.add(res.found)
         assert answers == {True, False}
 
+    def test_yes_answer_builds_no_graph(self, demo, two_route, monkeypatch):
+        builds = []
+        build = TemporalGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalGraph, "__init__", counting)
+        assert max_snapshot_disjoint(demo.graph, "s", "z", 2).found
+        assert max_snapshot_disjoint(two_route.graph, "s", "z", 2).found
+        assert builds == []
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
@@ -180,3 +195,92 @@ class TestDot:
         prod = build_product(demo.graph, "s", "z", 2)
         with pytest.raises(LimitExceeded):
             prod.to_dot(max_vertices=5)
+
+
+def written_out_moves(prod, vt):
+    """The move rule from its definition: a coordinate holding the least
+    label steps onto a member it may follow (source onto an edge at s, an
+    edge onto another edge sharing an endpoint with no smaller label, an
+    edge at z onto the sink) whose label no other coordinate holds, unless
+    that member is the sink; coordinates in order, members ascending."""
+    g, s, z, mem = prod.graph, prod.s, prod.z, prod.members
+
+    def label(ix):
+        if mem[ix] is SOURCE:
+            return 0
+        if mem[ix] is SINK:
+            return g.lifetime + 1
+        return mem[ix].t
+
+    def may_follow(a, b):
+        x, y = mem[a], mem[b]
+        if x is SINK or y is SOURCE:
+            return False
+        if x is SOURCE:
+            return y is not SINK and y.touches(s)
+        if y is SINK:
+            return x.touches(z)
+        return a != b and y.t >= x.t and (y.touches(x.u) or y.touches(x.v))
+
+    low = min(label(ix) for ix in vt)
+    out = []
+    for pos, ix in enumerate(vt):
+        if label(ix) != low:
+            continue
+        others = [label(o) for q, o in enumerate(vt) if q != pos]
+        for j in range(len(mem)):
+            if may_follow(ix, j) and (mem[j] is SINK or label(j) not in others):
+                out.append((pos, j, vt[:pos] + (j,) + vt[pos + 1 :]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_successors_follow_the_move_rule(seed, k):
+    g = random_temporal_graph(random.Random(seed))
+    rng = random.Random(seed + 3)
+    s, z = rng.choice(terminals(g))
+    prod = build_product(g, s, z, k)
+    for vt in prod.reachable_tuples:
+        assert prod.successors(vt) == written_out_moves(prod, vt)
+        assert prod.is_valid(vt)
+
+
+# sha256 of the packing answers over the corpus below, recorded from the
+# search that built its moves with a double loop over all edge pairs and
+# read each family off a rebuilt graph per coordinate.
+ANSWER_DIGEST = "5fe1be8394339f9d83d2379dee64f15a140805fb4b12023254ad5fcc99a18934"
+
+
+def corpus_answers():
+    """Every packing decision at k = 1-3 over 300 seeded random graphs
+    (every third one larger) and up to 3 terminal pairs each, as the
+    found flag, the family's edge sequences and the counts; every tenth
+    graph adds its k = 2 product's sorted tuples and arcs."""
+    for i in range(300):
+        rng = random.Random(i)
+        if i % 3 == 2:
+            g = random_temporal_graph(rng, max_vertices=7, max_edges=14, max_label=5)
+        else:
+            g = random_temporal_graph(rng)
+        pairs = terminals(g)
+        for s, z in rng.sample(pairs, min(3, len(pairs))):
+            for k in (1, 2, 3):
+                res = max_snapshot_disjoint(g, s, z, k)
+                yield (
+                    res.found,
+                    [w.sequence() for w in res.family],
+                    res.tuple_bound,
+                    res.tuples_materialized,
+                    res.arcs_explored,
+                )
+            if i % 10 == 0:
+                prod = build_product(g, s, z, 2)
+                yield sorted(prod.reachable_tuples), sorted(prod.arcs)
+
+
+def test_answers_match_recorded_digest():
+    digest = hashlib.sha256()
+    for key in corpus_answers():
+        digest.update(repr(key).encode())
+    assert digest.hexdigest() == ANSWER_DIGEST

@@ -1,5 +1,6 @@
 """Interchange formats: edge-list and JSON round-trips, sniffing, DOT."""
 
+import json
 import random
 
 import pytest
@@ -74,6 +75,21 @@ class TestJson:
     def test_malformed_documents(self, doc):
         with pytest.raises(MalformedInput):
             formats.document_to_graph(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": [["a"]], "edges": [{"u": "a", "v": "b", "t": 1}]},
+            {"edges": [{"u": {"a": 1}, "v": "b", "t": 1}]},
+            {"edges": [{"id": [0], "u": "a", "v": "b", "t": 1}]},
+        ],
+        ids=["vertex", "endpoint", "edge-id"],
+    )
+    def test_array_or_object_names(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInput, match="array or object"):
+            formats.load_graph(path)
 
     def test_bad_json_text(self):
         with pytest.raises(MalformedInput, match="bad JSON"):

@@ -113,6 +113,13 @@ class TestSetHelpers:
         assert max_independent_set([1, 2, 3], []).value == 3
         assert max_independent_set([], []).value == 0
 
+    def test_max_independent_set_is_not_recursive(self):
+        # The search goes one level deeper per vertex, and 1,100 levels
+        # exceed the interpreter's default recursion limit.
+        res = max_independent_set(range(1100), [])
+        assert res.value == 1100 and res.witness == frozenset(range(1100))
+        assert min_vertex_cover(range(1100), []).value == 0
+
     def test_min_vertex_cover(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
         res = min_vertex_cover(range(4), edges)
