@@ -24,14 +24,10 @@ import sys
 import time
 
 from . import cuts, disjoint_paths, formats, gadgets, injective_flow, oracles
-from .core import token_key
+from .core import pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 from .fixtures import fixture_names, get_fixture
 from .mengerian import bad_labeling_for, extend_bad_labeling, recognize
-
-
-def _sorted_pairs(pairs):
-    return sorted(pairs, key=lambda p: (token_key(p[0]), token_key(p[1])))
 
 
 def _load_instance(args, terminals: bool = True) -> tuple:
@@ -133,7 +129,7 @@ def _cut_command(args, kind: str) -> int:
             if witness:
                 print(f"  remove snapshots {witness}")
         else:
-            witness = [list(p) for p in _sorted_pairs(res.multiedges)]
+            witness = [list(p) for p in sorted(res.multiedges, key=pair_key)]
             if witness:
                 print(f"  remove multiedges {witness}")
     print(f"engine {res.engine}, {res.subsets_checked} search nodes visited, {elapsed:.3f}s")
@@ -277,7 +273,7 @@ def cmd_oracle(args) -> int:
         witness = sorted(result.witness)
         print(f"  remove snapshots {witness}")
     else:
-        witness = [list(p) for p in _sorted_pairs(result.witness)]
+        witness = [list(p) for p in sorted(result.witness, key=pair_key)]
         print(f"  remove multiedges {witness}")
     _write_report(
         args.report,
@@ -309,7 +305,7 @@ def _load_source_document(path) -> dict:
 def cmd_gadget(args) -> int:
     doc = _load_source_document(args.source)
     vertices = doc["vertices"]
-    edges = [tuple(e) for e in doc["edges"]]
+    edges = doc["edges"]
     if args.kind == "indep-set":
         instance = gadgets.indep_set_gadget(vertices, edges)
     elif args.kind == "vertex-cover":
@@ -391,7 +387,8 @@ def _add_instance_args(p, terminals=True):
 
 def _add_budget_args(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="abort if the search space exceeds this many states")
+                   help="stop with exit 3 once the search has spent more than this "
+                   "many units (product tuples, or cut search nodes and checks)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", action="store_true",
                    help="draw the k-tuple search digraph instead of the graph")
     p.add_argument("-k", type=int, default=2, help="tuple width for --product")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_budget_args(p)
     p.add_argument("--highlight-labels",
                    help="comma-separated labels to draw in red")
     p.set_defaults(run=cmd_export_dot)

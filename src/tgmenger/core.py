@@ -64,6 +64,11 @@ def token_key(x):
     return (1, 0, str(x))
 
 
+def pair_key(pair) -> tuple:
+    """Sort key of a vertex pair: :func:`token_key` of each end in turn."""
+    return token_key(pair[0]), token_key(pair[1])
+
+
 def link_key(u: Vertex, v: Vertex) -> tuple:
     """Canonical unordered representation of a vertex pair."""
     return (u, v) if token_key(u) <= token_key(v) else (v, u)
@@ -588,7 +593,7 @@ class MGraph:
         return sum(self.multiplicity(v, w) for w in self.neighbors(v))
 
     def sorted_links(self) -> list:
-        return sorted(self.links.items(), key=lambda kv: (token_key(kv[0][0]), token_key(kv[0][1])))
+        return sorted(self.links.items(), key=lambda kv: pair_key(kv[0]))
 
     def __eq__(self, other):
         return (
@@ -728,7 +733,7 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
     # Links in decreasing multiplicity so the hardest constraints fail fast.
     p_links = sorted(
         pattern.links.items(),
-        key=lambda kv: (-kv[1], token_key(kv[0][0]), token_key(kv[0][1])),
+        key=lambda kv: (-kv[1], *pair_key(kv[0])),
     )
 
     def paths_between(a: Vertex, b: Vertex, mult: int, banned: frozenset) -> Iterator[tuple]:

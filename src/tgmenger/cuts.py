@@ -51,7 +51,7 @@ from .core import (
     check_terminals,
     earliest_arrival,
     latest_departure,
-    token_key,
+    pair_key,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
@@ -115,7 +115,7 @@ def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
     """Multiedges (as canonical vertex pairs) that can appear on some
     temporal s,z-walk."""
     useful = {e.pair for e in _useful_edges(g, s, z)}
-    return tuple(sorted(useful, key=lambda pr: (token_key(pr[0]), token_key(pr[1]))))
+    return tuple(sorted(useful, key=pair_key))
 
 
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:

@@ -19,8 +19,8 @@ reaches each vertex, reads off an actual path per coordinate.
 One breadth-first search over the tuples serves both the decision, which
 stops at the first sight of the all-sink tuple, and the full exploration
 behind ``build_product``, which stops only when nothing new is reached.
-Tuples are generated lazily, but the worst-case count (m+2)^k is checked
-against the caller's budget before any work happens.
+Tuples are generated lazily, one budget unit each, and the search raises
+:class:`BudgetExceeded` as soon as it holds more tuples than the budget.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ class ProductDigraph:
     """The k-tuple digraph for one (graph, s, z, k) question.
 
     Construction validates the inputs and precomputes the per-member move
-    lists; tuples themselves are generated on demand.  ``explore()``
-    materializes everything reachable from the all-source tuple (for
-    inspection and DOT dumps); :func:`max_snapshot_disjoint` runs the same
+    lists; tuples are generated on demand, one unit of *budget* each.
+    ``explore()`` materializes everything reachable from the all-source
+    tuple (for inspection); :func:`max_snapshot_disjoint` runs the same
     search but stops at the all-sink tuple.
     """
 
@@ -67,11 +67,10 @@ class ProductDigraph:
         self.s = s
         self.z = z
         self.k = k
+        self.budget = budget
         edges = g.sorted_edges()
         m = len(edges)
         self.tuple_bound = (m + 2) ** k
-        if self.tuple_bound > budget:
-            raise BudgetExceeded(self.tuple_bound, budget, "product tuple space")
         # Member 0 is the source token, members 1..m the edges in id order,
         # member m+1 the sink token.  The sentinels' labels, 0 and
         # lifetime + 1, belong to them alone.
@@ -187,8 +186,12 @@ def _search(product: ProductDigraph, goal: Optional[tuple] = None) -> tuple:
     Returns ``(parents, arcs)``: ``parents`` maps every reached tuple, in
     the order it was reached, to its ``(previous tuple, coordinate, new
     member)`` move (``None`` for the start), and ``arcs`` lists every
-    explored arc, repeats to already reached tuples included.
+    explored arc, repeats to already reached tuples included.  Every
+    reached tuple, the start included, costs one unit of the product's
+    budget; :class:`BudgetExceeded` is raised once more than that is spent.
     """
+    if product.budget < 1:
+        raise BudgetExceeded(1, product.budget, "product search")
     parents: dict = {product.start: None}
     arcs: list = []
     queue = deque([product.start])
@@ -199,6 +202,8 @@ def _search(product: ProductDigraph, goal: Optional[tuple] = None) -> tuple:
             if nxt in parents:
                 continue
             parents[nxt] = (cur, pos, j)
+            if len(parents) > product.budget:
+                raise BudgetExceeded(len(parents), product.budget, "product search")
             if nxt == goal:
                 return parents, arcs
             queue.append(nxt)

@@ -7,8 +7,8 @@ from "the computation refused to run" without string matching.
 
 from __future__ import annotations
 
-# Work units (product tuples, or cut search nodes and reachability checks)
-# a budgeted search may spend when the caller names no budget.
+# Work units a search may spend when the caller names no budget: product
+# tuples held, or cut search nodes and reachability checks.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -81,20 +81,18 @@ class ImproperColoring(MalformedInput):
 
 
 class BudgetExceeded(TemporalGraphError):
-    """An exhaustive search would exceed its work budget.
+    """An exhaustive search spent more than its work budget.
 
-    The product search counts tuples and is refused before any work runs
-    when its tuple bound exceeds the budget.  The cut search counts one
-    unit per search node and per reachability check after the first, and
-    stops as soon as they exceed the budget."""
+    Every search stops as soon as the units it has spent exceed the
+    budget: the product search counts one unit per tuple it reaches, the
+    cut search one per search node and per reachability check after the
+    first.  *spent* is the count at that moment, budget + 1."""
 
-    def __init__(self, required, budget, what="search space"):
-        self.required = required
+    def __init__(self, spent, budget, what="search"):
+        self.spent = spent
         self.budget = budget
         self.what = what
-        super().__init__(
-            f"{what} needs {required} units but the budget is {budget}"
-        )
+        super().__init__(f"{what} spent more than its budget of {budget} units")
 
 
 class LimitExceeded(TemporalGraphError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import TemporalGraph, link_key, token_key
+from .core import TemporalGraph, link_key, pair_key, token_key
 from .errors import ImproperColoring, MalformedInput
 from .oracles import find_multicolored_clique, max_independent_set, min_vertex_cover
 
@@ -32,20 +32,35 @@ class GadgetInstance:
     manifest: dict
 
 
+def _source_list(items, what: str) -> list:
+    try:
+        if not isinstance(items, (str, dict)):
+            return list(items)
+    except TypeError:
+        pass
+    raise MalformedInput(f"source {what} must be a list")
+
+
 def _simple_graph(vertices, edges) -> tuple:
-    """Validate and canonicalize an undirected simple source graph."""
-    listed = list(vertices)
+    """Validate and canonicalize an undirected simple source graph.
+
+    As in JSON graph documents, arrays and objects cannot name a vertex.
+    """
+    listed = _source_list(vertices, "vertices")
+    if any(isinstance(v, (list, dict)) for v in listed):
+        raise MalformedInput("a source vertex cannot be an array or object")
     verts = sorted(set(listed), key=token_key)
     if len(verts) != len(listed):
         raise MalformedInput("duplicate vertices in source graph")
     known = set(verts)
     seen = set()
     out = []
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise MalformedInput(f"edge {e!r} is not a pair") from None
+    for e in _source_list(edges, "edges"):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise MalformedInput(f"edge {e!r} is not a pair")
+        u, v = e
+        if any(isinstance(x, (list, dict)) for x in e):
+            raise MalformedInput(f"edge {e!r}: an endpoint cannot be an array or object")
         if u == v:
             raise MalformedInput(f"loop at {u!r}")
         if u not in known or v not in known:
@@ -55,7 +70,7 @@ def _simple_graph(vertices, edges) -> tuple:
             raise MalformedInput(f"duplicate edge {u!r}-{v!r}")
         seen.add(pair)
         out.append(pair)
-    out.sort(key=lambda p: (token_key(p[0]), token_key(p[1])))
+    out.sort(key=pair_key)
     return verts, out
 
 
@@ -156,9 +171,11 @@ def clique_gadget(vertices, edges, coloring: dict) -> GadgetInstance:
     records the regime along with the source truth.
     """
     verts, simple_edges = _simple_graph(vertices, edges)
-    missing = [v for v in verts if v not in coloring]
-    if missing:
-        raise MalformedInput(f"vertex {missing[0]!r} has no colour")
+    for v in verts:
+        if v not in coloring:
+            raise MalformedInput(f"vertex {v!r} has no colour")
+        if isinstance(coloring[v], (list, dict)):
+            raise MalformedInput(f"the colour of {v!r} cannot be an array or object")
     for u, v in simple_edges:
         if coloring[u] == coloring[v]:
             raise ImproperColoring((u, v))
@@ -175,7 +192,7 @@ def clique_gadget(vertices, edges, coloring: dict) -> GadgetInstance:
         x, y = (u, v) if class_of[u] == pc[0] else (v, u)
         pair_edges[pc].append((x, y))
     for pc in pair_edges:
-        pair_edges[pc].sort(key=lambda xy: (token_key(xy[0]), token_key(xy[1])))
+        pair_edges[pc].sort(key=pair_key)
 
     m = max(len(elist) for elist in pair_edges.values())
     if m == 0:
@@ -183,7 +200,7 @@ def clique_gadget(vertices, edges, coloring: dict) -> GadgetInstance:
 
     names = _Names(verts)
     padding = []
-    for pc in sorted(pair_edges, key=lambda p: (token_key(p[0]), token_key(p[1]))):
+    for pc in sorted(pair_edges, key=pair_key):
         ci, cj = pc
         for r in range(m - len(pair_edges[pc])):
             a = names.fresh(f"pad.{ci}.{cj}.{r}.a")
@@ -194,7 +211,7 @@ def clique_gadget(vertices, edges, coloring: dict) -> GadgetInstance:
             padding.append((a, b))
 
     all_source = sorted(class_of, key=token_key)
-    pairs = sorted(pair_edges, key=lambda p: (token_key(p[0]), token_key(p[1])))
+    pairs = sorted(pair_edges, key=pair_key)
     window_top = m * len(pairs)
     vertex_time = {v: window_top + i + 1 for i, v in enumerate(all_source)}
 

@@ -36,6 +36,7 @@ from .core import (
     TemporalGraph,
     has_m_topological_minor,
     link_key,
+    pair_key,
     token_key,
 )
 from .errors import CatalogViolation, MalformedInput
@@ -250,7 +251,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                 for pair in (link_key(a, c) for a, c in u.subgraph(b).edges)
                 if mg.multiplicity(*pair) >= 2
             ),
-            key=lambda pr: (token_key(pr[0]), token_key(pr[1])),
+            key=pair_key,
         )
         if not doubled:
             continue
@@ -326,7 +327,7 @@ def _theta_in_block(ub: nx.Graph) -> tuple:
         # The block is spanned by the cycle, so a non-cycle edge is a chord.
         chords = sorted(
             (link_key(a, b) for a, b in ub.edges if not _on_cycle(cycle, a, b)),
-            key=lambda pr: (token_key(pr[0]), token_key(pr[1])),
+            key=pair_key,
         )
         a, b = chords[0]
         ear = [a, b]
@@ -405,9 +406,7 @@ def extend_bad_labeling(host: MGraph, base: TemporalGraph, s, z) -> TemporalGrap
     d_pairs = []
     dead_pairs = []
     high_pairs = []
-    for pair, mult in sorted(
-        host.links.items(), key=lambda kv: (token_key(kv[0][0]), token_key(kv[0][1]))
-    ):
+    for pair, mult in host.sorted_links():
         extra = mult - base_links.get(pair, 0)
         if extra <= 0:
             continue

@@ -25,6 +25,7 @@ from .core import (
     enumerate_paths,
     has_m_topological_minor,
     link_key,
+    pair_key,
     token_key,
 )
 from .errors import MalformedInput, PatternTooLarge
@@ -177,10 +178,7 @@ def brute_force_multiedge_disjoint(
     """Maximum family of temporal s,z-paths no two of which share a
     multiedge (an underlying vertex pair)."""
     paths = enumerate_paths(g, s, z, limit=limit)
-    pairs = sorted(
-        {pr for p in paths for pr in p.multiedge_pairs},
-        key=lambda pr: (token_key(pr[0]), token_key(pr[1])),
-    )
+    pairs = sorted({pr for p in paths for pr in p.multiedge_pairs}, key=pair_key)
     masks = _masks_over(pairs, (p.multiedge_pairs for p in paths))
     size, idx = max_disjoint_masks(masks)
     return OracleValue(size, tuple(paths[i] for i in idx))
@@ -193,10 +191,7 @@ def brute_force_multiedge_cut(
     paths = enumerate_paths(g, s, z, limit=limit)
     if not paths:
         return OracleValue(0, frozenset())
-    pairs = sorted(
-        {pr for p in paths for pr in p.multiedge_pairs},
-        key=lambda pr: (token_key(pr[0]), token_key(pr[1])),
-    )
+    pairs = sorted({pr for p in paths for pr in p.multiedge_pairs}, key=pair_key)
     masks = _masks_over(pairs, (p.multiedge_pairs for p in paths))
     size, chosen = min_hitting_set(masks, pairs)
     return OracleValue(size, frozenset(chosen))

@@ -52,6 +52,16 @@ class TestPaths:
         assert code == 3
         assert "error" in err
 
+    def test_budget_counts_tuples_reached_not_the_bound(self, capsys):
+        # (10+2)^7 is far over the default budget, but the search reaches
+        # only 358 tuples.
+        code, out, _ = run(capsys, "paths", "-g", "demo", "-k", "7")
+        assert code == 1
+        assert "visited 358 tuples" in out
+        code, _, err = run(capsys, "paths", "-g", "demo", "-k", "7", "--budget", "357")
+        assert code == 3
+        assert "budget of 357 units" in err
+
     def test_file_requires_terminals(self, capsys, triangle_file):
         code, _, err = run(capsys, "paths", "-g", triangle_file, "-k", "1")
         assert code == 2
@@ -336,13 +346,25 @@ class TestGadget:
 
     def test_bad_source_document(self, capsys, tmp_path):
         source = tmp_path / "src.json"
-        source.write_text("[1, 2, 3]")
-        code, _, err = run(
-            capsys,
-            "gadget", "indep-set", "--source", str(source),
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 2
+        bad = [
+            ("indep-set", [1, 2, 3]),
+            ("indep-set", {"vertices": [0, 1], "edges": [3]}),
+            ("vertex-cover", {"vertices": [0, 1], "edges": [{"u": 0, "v": 1}]}),
+            ("indep-set", {"vertices": [[0], 1], "edges": []}),
+            ("vertex-cover", {"vertices": [0, 1], "edges": [[[0], 1]]}),
+            ("indep-set", {"vertices": 5, "edges": []}),
+            ("vertex-cover", {"vertices": [0, 1], "edges": {"0": 1}}),
+            ("clique", {"vertices": ["x", "y"], "edges": [["x", "y"]],
+                        "colors": {"x": ["a"], "y": "b"}}),
+        ]
+        for kind, doc in bad:
+            source.write_text(json.dumps(doc))
+            code, _, err = run(
+                capsys,
+                "gadget", kind, "--source", str(source),
+                "--out", str(tmp_path / "x.json"),
+            )
+            assert code == 2, (doc, err)
 
 
 class TestExportDot:

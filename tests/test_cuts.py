@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_temporal_graph, terminals
 from tgmenger import cuts
 from tgmenger.core import TemporalGraph, _walk_avoiding, link_key, reachable
+from tgmenger.disjoint_paths import max_snapshot_disjoint
 from tgmenger.errors import BudgetExceeded, MissingMultiedge
 from tgmenger.gadgets import clique_gadget, vc_gadget
 from tgmenger.injective_flow import injective_connectivity
@@ -396,6 +398,7 @@ def test_budget_answers_in_full_or_raises(seed, budget):
             lambda **kw: cuts.multiedge_cut_at_most(g, s, z, h, **kw),
             lambda **kw: cuts.min_snapshot_cut(g, s, z, **kw),
             lambda **kw: cuts.min_multiedge_cut(g, s, z, **kw),
+            *(partial(max_snapshot_disjoint, g, s, z, k) for k in (1, 2, 3)),
         ):
             unbudgeted = search()
             try:

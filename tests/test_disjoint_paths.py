@@ -17,6 +17,7 @@ from tgmenger.disjoint_paths import (
     max_snapshot_disjoint,
 )
 from tgmenger.errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     LimitExceeded,
     MalformedInput,
@@ -50,9 +51,23 @@ class TestConstruction:
         prod = build_product(demo.graph, "s", "z", 2)
         assert prod.tuple_bound == (len(demo.graph.edges) + 2) ** 2
 
-    def test_budget_checked_up_front(self, demo):
+    def test_budget_caps_the_tuples_reached(self, demo):
+        # One unit per tuple reached: a budget equal to the count answers in
+        # full, one less raises, and the bound (m+2)^k is never consulted.
+        g = demo.graph
+        assert max_snapshot_disjoint(g, "s", "z", 4).tuples_materialized == 73
+        assert not max_snapshot_disjoint(g, "s", "z", 4, budget=73).found
+        with pytest.raises(BudgetExceeded) as blown:
+            max_snapshot_disjoint(g, "s", "z", 4, budget=72)
+        assert blown.value.spent == 73
+        assert len(build_product(g, "s", "z", 3, budget=40).reachable_tuples) == 40
         with pytest.raises(BudgetExceeded):
-            build_product(demo.graph, "s", "z", 3, budget=100)
+            build_product(g, "s", "z", 3, budget=39)
+        with pytest.raises(BudgetExceeded):
+            max_snapshot_disjoint(g, "s", "z", 1, budget=0)
+        res = max_snapshot_disjoint(g, "s", "z", 7)
+        assert res.tuple_bound == 12**7 > DEFAULT_BUDGET
+        assert (res.found, res.tuples_materialized) == (False, 358)
 
     def test_validity_predicate(self, two_route):
         prod = build_product(two_route.graph, "s", "z", 2)
