@@ -163,6 +163,8 @@ def cmd_mcut(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise MalformedInput("k must be at least 1")
     g, s, z, name = _load_instance(args)
     started = time.perf_counter()
     if args.edge_disjoint:
@@ -351,7 +353,7 @@ def cmd_export_dot(args) -> int:
     if args.product:
         if s is None:
             raise MalformedInput("--product needs -s and -z")
-        product = disjoint_paths.build_product(g, s, z, args.k, budget=args.budget)
+        product = disjoint_paths.ProductDigraph(g, s, z, args.k, budget=args.budget)
         text = product.to_dot()
     else:
         hot = []

@@ -16,11 +16,13 @@ the per-coordinate move sequences then carry pairwise disjoint label sets,
 and one pass over each coordinate's moves, keeping the edge that first
 reaches each vertex, reads off an actual path per coordinate.
 
-One breadth-first search over the tuples serves both the decision, which
-stops at the first sight of the all-sink tuple, and the full exploration
-behind ``build_product``, which stops only when nothing new is reached.
-Tuples are generated lazily, one budget unit each, and the search raises
-:class:`BudgetExceeded` as soon as it holds more tuples than the budget.
+One breadth-first search over the tuples serves the decision, which
+stops at the first sight of the all-sink tuple, the full exploration
+behind ``build_product``, and the DOT dump, which stops at its vertex
+limit.  It keeps each reached tuple with the tuple it came from and only
+counts arcs.  Tuples are generated lazily, one budget unit each, and the
+search raises :class:`BudgetExceeded` as soon as it holds more tuples
+than the budget.
 """
 
 from __future__ import annotations
@@ -134,8 +136,13 @@ class ProductDigraph:
 
     # -- full materialization ---------------------------------------------------
 
+    def _reach(self, limit=float("inf")) -> tuple:
+        """The reached tuples and the arcs out of them, in search order."""
+        parents, _ = _search(self, limit=limit)
+        return parents, [(a, b) for a in parents for _, _, b in self.successors(a)]
+
     def explore(self) -> None:
-        parents, arcs = _search(self)
+        parents, arcs = self._reach()
         self.reachable_tuples = frozenset(parents)
         self.arcs = tuple(arcs)
 
@@ -155,16 +162,14 @@ class ProductDigraph:
         return mem.name if isinstance(mem, _Sentinel) else str(mem.eid)
 
     def to_dot(self, max_vertices: int = DOT_VERTEX_LIMIT) -> str:
-        """DOT dump of the reachable part; refuses oversized graphs."""
-        if self.reachable_tuples is None:
-            self.explore()
-        if len(self.reachable_tuples) > max_vertices:
-            raise LimitExceeded(max_vertices, "product tuples in DOT dump")
+        """DOT dump of the reachable part; its search raises
+        :class:`LimitExceeded` once it reaches more than *max_vertices*."""
+        parents, arcs = self._reach(max_vertices)
 
         def name(vt):
             return '"(' + ",".join(self._token_name(ix) for ix in vt) + ')"'
 
-        order = sorted(self.reachable_tuples)
+        order = sorted(parents)
         lines = ["digraph product {"]
         for vt in order:
             shape = ""
@@ -173,37 +178,40 @@ class ProductDigraph:
             elif vt == self.goal:
                 shape = ' [shape=box, label="goal"]'
             lines.append(f"  {name(vt)}{shape};")
-        for a, b in self.arcs:
+        for a, b in arcs:
             lines.append(f"  {name(a)} -> {name(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def _search(product: ProductDigraph, goal: Optional[tuple] = None) -> tuple:
+def _search(product: ProductDigraph, goal: Optional[tuple] = None, limit=float("inf")) -> tuple:
     """Breadth-first search from the all-source tuple, stopping right after
     *goal* is first reached (or after everything, without a goal).
 
     Returns ``(parents, arcs)``: ``parents`` maps every reached tuple, in
-    the order it was reached, to its ``(previous tuple, coordinate, new
-    member)`` move (``None`` for the start), and ``arcs`` lists every
-    explored arc, repeats to already reached tuples included.  Every
-    reached tuple, the start included, costs one unit of the product's
-    budget; :class:`BudgetExceeded` is raised once more than that is spent.
+    the order it was reached, to the tuple it was reached from (``None``
+    for the start), and ``arcs`` counts every explored arc, repeats to
+    already reached tuples included.  Every reached tuple, the start
+    included, costs one unit of the product's budget; :class:`BudgetExceeded`
+    is raised once more than that is spent, :class:`LimitExceeded` once
+    more than *limit* tuples are reached.
     """
     if product.budget < 1:
         raise BudgetExceeded(1, product.budget, "product search")
     parents: dict = {product.start: None}
-    arcs: list = []
+    arcs = 0
     queue = deque([product.start])
     while queue:
         cur = queue.popleft()
-        for pos, j, nxt in product.successors(cur):
-            arcs.append((cur, nxt))
+        for _, _, nxt in product.successors(cur):
+            arcs += 1
             if nxt in parents:
                 continue
-            parents[nxt] = (cur, pos, j)
+            parents[nxt] = cur
             if len(parents) > product.budget:
                 raise BudgetExceeded(len(parents), product.budget, "product search")
+            if len(parents) > limit:
+                raise LimitExceeded(limit, "product tuples in DOT dump")
             if nxt == goal:
                 return parents, arcs
             queue.append(nxt)
@@ -222,7 +230,8 @@ def build_product(
 
 @dataclass(frozen=True, slots=True)
 class PathsResult:
-    """Outcome of the snapshot-disjoint packing decision."""
+    """Outcome of the snapshot-disjoint packing decision; ``arcs_explored``
+    counts every arc the search followed, repeats to reached tuples included."""
 
     found: bool
     family: tuple
@@ -248,8 +257,10 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     trail = []
     cur = product.goal
     while cur != product.start:
-        prev, pos, new_ix = parents[cur]
-        trail.append((pos, new_ix))
+        prev = parents[cur]
+        # A move changes exactly one coordinate.
+        pos = next(i for i, ix in enumerate(prev) if ix != cur[i])
+        trail.append((pos, cur[pos]))
         cur = prev
     reached_by: list = [{s: None} for _ in range(product.k)]
     for pos, ix in reversed(trail):
@@ -284,4 +295,4 @@ def max_snapshot_disjoint(
     parents, arcs = _search(product, product.goal)
     found = product.goal in parents
     family = _extract_family(product, parents) if found else ()
-    return PathsResult(found, family, k, product.tuple_bound, len(parents), len(arcs))
+    return PathsResult(found, family, k, product.tuple_bound, len(parents), arcs)

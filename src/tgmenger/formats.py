@@ -52,12 +52,15 @@ def parse_edge_list(text: str) -> TemporalGraph:
 
 def format_edge_list(g: TemporalGraph) -> str:
     """Inverse of :func:`parse_edge_list` up to edge ids (which the line
-    format does not carry).  Vertex names containing whitespace need the
+    format does not carry) and isolated vertices (which it drops).  A
+    vertex whose text would not read back as itself (empty, containing
+    whitespace or ``#``, or a string that parses as an integer) needs the
     JSON format instead."""
     for v in g.vertices:
-        if any(ch.isspace() for ch in str(v)):
+        text = str(v)
+        if not text or "#" in text or any(ch.isspace() for ch in text) or _token(text) != v:
             raise MalformedInput(
-                f"vertex {v!r} contains whitespace; use the JSON format"
+                f"vertex {v!r} does not read back from an edge list; use the JSON format"
             )
     lines = ["# u v t"]
     for e in g.edges:

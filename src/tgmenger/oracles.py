@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     MGraph,
     TemporalGraph,
+    check_terminals,
     enumerate_paths,
     has_m_topological_minor,
     link_key,
@@ -142,6 +143,7 @@ def brute_force_p(g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT) -> Or
     """Maximum number of pairwise snapshot-disjoint temporal s,z-paths,
     with a maximum family as witness (paths considered in lexicographic
     order)."""
+    check_terminals(g, s, z)
     paths = enumerate_paths(g, s, z, limit=limit)
     labels = sorted(frozenset().union(*(p.label_set for p in paths))) if paths else []
     masks = _masks_over(labels, (p.label_set for p in paths))
@@ -152,6 +154,7 @@ def brute_force_p(g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT) -> Or
 def brute_force_c(g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT) -> OracleValue:
     """Minimum number of labels whose removal leaves *z* unreachable from
     *s*, with the lexicographically least minimum label set as witness."""
+    check_terminals(g, s, z)
     paths = enumerate_paths(g, s, z, limit=limit)
     if not paths:
         return OracleValue(0, frozenset())
@@ -165,6 +168,7 @@ def brute_force_edge_disjoint(
     g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT
 ) -> OracleValue:
     """Maximum family of pairwise edge-disjoint temporal s,z-paths."""
+    check_terminals(g, s, z)
     paths = enumerate_paths(g, s, z, limit=limit)
     ids = sorted({e for p in paths for e in p.edge_ids}, key=token_key)
     masks = _masks_over(ids, (frozenset(p.edge_ids) for p in paths))
@@ -177,6 +181,7 @@ def brute_force_multiedge_disjoint(
 ) -> OracleValue:
     """Maximum family of temporal s,z-paths no two of which share a
     multiedge (an underlying vertex pair)."""
+    check_terminals(g, s, z)
     paths = enumerate_paths(g, s, z, limit=limit)
     pairs = sorted({pr for p in paths for pr in p.multiedge_pairs}, key=pair_key)
     masks = _masks_over(pairs, (p.multiedge_pairs for p in paths))
@@ -188,6 +193,7 @@ def brute_force_multiedge_cut(
     g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT
 ) -> OracleValue:
     """Minimum set of multiedges whose removal leaves *z* unreachable."""
+    check_terminals(g, s, z)
     paths = enumerate_paths(g, s, z, limit=limit)
     if not paths:
         return OracleValue(0, frozenset())

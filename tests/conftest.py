@@ -6,6 +6,7 @@ import pytest
 
 from tgmenger.core import MGraph, TemporalGraph
 from tgmenger.fixtures import demo_network, tight_gap_network, two_route_network
+from tgmenger.gadgets import indep_set_gadget
 
 
 @pytest.fixture
@@ -21,6 +22,21 @@ def tight_gap():
 @pytest.fixture
 def two_route():
     return two_route_network()
+
+
+# The Petersen graph: outer 5-cycle 0-4, spokes i-(i+5), inner pentagram.
+PETERSEN_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+@pytest.fixture
+def petersen_gadget():
+    """Independent-set gadget of the Petersen graph (alpha = 4): its
+    product digraph at k = 3 reaches far more than 500 tuples."""
+    return indep_set_gadget(range(10), PETERSEN_EDGES)
 
 
 def random_temporal_graph(rng: random.Random, max_vertices=6, max_edges=8, max_label=5):

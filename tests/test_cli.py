@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tgmenger import cli
-from tgmenger.formats import load_graph
+from tgmenger.formats import load_graph, save_graph
 
 
 def run(capsys, *argv):
@@ -184,6 +184,13 @@ class TestFlow:
         code, _, _ = run(capsys, *args, "-k", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_threshold_must_be_positive(self, capsys, k):
+        code, out, err = run(capsys, "flow", "-g", "demo", "--edge-disjoint", "-k", k)
+        assert code == 2
+        assert "k must be at least 1" in err
+        assert out == ""
+
 
 class TestUnexpectedErrors:
     def test_crash_is_not_a_no(self, capsys, monkeypatch):
@@ -272,6 +279,15 @@ class TestOracle:
         doc = json.loads(report.read_text())
         assert doc["answer"] == 2
         assert doc["witness"] == [["s", "u"], ["s", "w"]]
+
+    @pytest.mark.parametrize("what", sorted(cli._ORACLES))
+    def test_equal_terminals_exit_2(self, capsys, what):
+        code, out, err = run(
+            capsys, "oracle", "-g", "demo", "-s", "s", "-z", "s", "--what", what
+        )
+        assert code == 2
+        assert "terminals must be distinct" in err
+        assert out == ""
 
 
 class TestGadget:
@@ -394,6 +410,20 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", "-g", "two-route", "--product")
         assert code == 0
         assert out.startswith("digraph product")
+
+    def test_product_dump_stops_at_500_tuples(self, capsys, tmp_path, petersen_gadget):
+        # The gadget's k = 3 product is far larger than the dump may draw;
+        # the dump stops at 501 tuples, within a budget of 501.
+        path = tmp_path / "petersen.json"
+        save_graph(path, petersen_gadget.graph)
+        code, out, err = run(
+            capsys,
+            "export-dot", "-g", str(path), "--product", "-s", "s", "-z", "z",
+            "-k", "3", "--budget", "501",
+        )
+        assert code == 3
+        assert out == ""
+        assert "more than 500 product tuples in DOT dump" in err
 
     def test_product_parses_the_file_once(self, capsys, monkeypatch, triangle_file):
         calls = []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mgraph, random_temporal_graph
-from tgmenger import cuts
+from tgmenger import cuts, oracles
 from tgmenger.core import (
     INF,
     MGraph,
@@ -203,6 +203,11 @@ SZ_ENTRY_POINTS = [
     (max_snapshot_disjoint, (1,)),
     (max_edge_disjoint_paths, ()),
     (injective_connectivity, ()),
+    (oracles.brute_force_p, ()),
+    (oracles.brute_force_c, ()),
+    (oracles.brute_force_edge_disjoint, ()),
+    (oracles.brute_force_multiedge_disjoint, ()),
+    (oracles.brute_force_multiedge_cut, ()),
 ]
 
 

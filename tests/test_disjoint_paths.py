@@ -211,6 +211,31 @@ class TestDot:
         with pytest.raises(LimitExceeded):
             prod.to_dot(max_vertices=5)
 
+    def test_dot_stops_at_its_limit(self, petersen_gadget):
+        # The dump's own search gives up at 501 tuples, before the budget
+        # of 501 runs out; exploring everything first would exhaust it.
+        g, s, z = petersen_gadget.graph, petersen_gadget.s, petersen_gadget.z
+        prod = ProductDigraph(g, s, z, 3, budget=501)
+        expanded = []
+        successors = prod.successors
+        prod.successors = lambda vt: expanded.append(vt) or successors(vt)
+        with pytest.raises(LimitExceeded, match="more than 500 product tuples"):
+            prod.to_dot()
+        assert len(set(expanded)) == len(expanded) <= 501
+        assert prod.reachable_tuples is None
+
+    def test_dot_text_is_unchanged(self, demo, two_route):
+        # sha256 of the k = 2 dumps as written when the dump read the arcs
+        # stored by a full exploration.
+        recorded = {
+            "two-route": "feed1ec536ed1fe6073941b824f01843b4a4f397517b555ed73a2b11e5f1232e",
+            "demo": "8320dd233e8677be1dd8f7ad96dc553ebed77f61dc3ab5d8e20afec5eaa14759",
+        }
+        for fx in (two_route, demo):
+            text = ProductDigraph(fx.graph, fx.s, fx.z, 2).to_dot()
+            assert hashlib.sha256(text.encode()).hexdigest() == recorded[fx.name]
+            assert text == build_product(fx.graph, fx.s, fx.z, 2).to_dot()
+
 
 def written_out_moves(prod, vt):
     """The move rule from its definition: a coordinate holding the least

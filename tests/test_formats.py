@@ -45,9 +45,11 @@ class TestEdgeList:
             formats.parse_edge_list(text)
 
     def test_whitespace_vertex_not_representable(self):
-        g = TemporalGraph([(0, "a b", "c", 1)])
-        with pytest.raises(MalformedInput, match="whitespace"):
-            formats.format_edge_list(g)
+        # Each name would read back as a short line, a comment or an int.
+        for name in ["a b", "a\tb", "a#b", "#", "", "7", "07", "-0"]:
+            g = TemporalGraph([(0, name, "c", 1)])
+            with pytest.raises(MalformedInput, match="does not read back"):
+                formats.format_edge_list(g)
 
 
 class TestJson:
