@@ -68,10 +68,21 @@ def _yesno(flag: bool) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _power(base: int, exp: int):
+    """``base ** exp``, or the text ``"base^exp"`` when the power has more
+    digits than Python converts to decimal (``sys.get_int_max_str_digits``)."""
+    value = base**exp
+    try:
+        str(value)
+    except ValueError:
+        return f"{base}^{exp}"
+    return value
+
+
 def cmd_paths(args) -> int:
     g, s, z, name = _load_instance(args)
     m = len(g.edges)
-    bound = (m + 2) ** args.k
+    bound = _power(m + 2, args.k)
     print(
         f"searching tuples over {m} edges: at most ({m}+2)^{args.k} = {bound} "
         f"(budget {args.budget})"
@@ -96,7 +107,7 @@ def cmd_paths(args) -> int:
             "witness": [formats.walk_document(w) for w in res.family],
             "elapsed": elapsed,
             "budget_used": {
-                "tuple_bound": res.tuple_bound,
+                "tuple_bound": bound,
                 "tuples_materialized": res.tuples_materialized,
                 "arcs_explored": res.arcs_explored,
                 "budget": args.budget,

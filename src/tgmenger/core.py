@@ -670,22 +670,34 @@ class MGraph:
 
     def canonical_form(self) -> tuple:
         """Isomorphism-invariant canonical encoding (brute force over all
-        vertex orderings — intended for graphs with at most ~8 vertices)."""
+        vertex orderings — intended for graphs with at most ~8 vertices).
+
+        The form is ``(n, triples)``: the least, over all orderings, of the
+        sorted ``(min, max, m)`` triples of the links' endpoint positions
+        and multiplicities.  Each triple is compared as the one integer
+        ``(min * n + max) * radix + m``, with *radix* above every
+        multiplicity; that order-preserving mixed radix lets the search
+        sort and compare plain integers and decode only the least list."""
         if self.order() > 8:
             raise PatternTooLarge("canonical_form is brute force; at most 8 vertices")
         verts = sorted(self.vertices, key=token_key)
-        best = None
-        for perm in itertools.permutations(range(len(verts))):
-            pos = {v: perm[i] for i, v in enumerate(verts)}
-            enc = tuple(
-                sorted(
-                    (min(pos[u], pos[v]), max(pos[u], pos[v]), m)
-                    for (u, v), m in self.links.items()
-                )
-            )
-            if best is None or enc < best:
-                best = enc
-        return (len(verts), best if best is not None else ())
+        n = len(verts)
+        if not self.links:
+            return (n, ())
+        at = {v: i for i, v in enumerate(verts)}
+        links = [(at[u], at[v], m) for (u, v), m in self.links.items()]
+        radix = max(m for _, _, m in links) + 1
+        # pair[i][j]: the code of a link between positions i and j, less m
+        pair = [[(min(i, j) * n + max(i, j)) * radix for j in range(n)] for i in range(n)]
+        best = min(
+            sorted([pair[perm[a]][perm[b]] + m for a, b, m in links])
+            for perm in itertools.permutations(range(n))
+        )
+        triples = []
+        for code in best:
+            ends, m = divmod(code, radix)
+            triples.append((*divmod(ends, n), m))
+        return (n, tuple(triples))
 
 
 # -- topological minors that respect multiplicities --------------------------

@@ -16,18 +16,24 @@ the per-coordinate move sequences then carry pairwise disjoint label sets,
 and one pass over each coordinate's moves, keeping the edge that first
 reaches each vertex, reads off an actual path per coordinate.
 
-One breadth-first search over the tuples serves the decision, which
-stops at the first sight of the all-sink tuple, the full exploration
-behind ``build_product``, and the DOT dump, which stops at its vertex
-limit.  It keeps each reached tuple with the tuple it came from and only
-counts arcs.  Tuples are generated lazily, one budget unit each, and the
-search raises :class:`BudgetExceeded` as soon as it holds more tuples
-than the budget.
+Every move rule depends only on which members a tuple holds, not on their
+order, so the decision searches sorted tuples, one per permutation class
+(orbit) of ordered tuples: symmetry reduction, which reaches the all-sink
+tuple iff the ordered search does.  ``build_product``, ``contains`` and
+the DOT dump stay on ordered tuples, the paper's construction.
+
+One breadth-first search, given the move generator, serves the decision
+over orbits, which stops at the first sight of the all-sink tuple, the
+full exploration behind ``build_product``, and the DOT dump, which stops
+at its vertex limit.  It keeps each reached tuple with the tuple it came
+from and only counts arcs.  Tuples are generated lazily, one budget unit
+each, and the search raises :class:`BudgetExceeded` as soon as it holds
+more tuples than the budget.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,9 +62,11 @@ class ProductDigraph:
 
     Construction validates the inputs and precomputes the per-member move
     lists; tuples are generated on demand, one unit of *budget* each.
-    ``explore()`` materializes everything reachable from the all-source
-    tuple (for inspection); :func:`max_snapshot_disjoint` runs the same
-    search but stops at the all-sink tuple.
+    ``explore()`` materializes every ordered tuple reachable from the
+    all-source tuple (for inspection); :func:`max_snapshot_disjoint` runs
+    the same search over sorted tuples, one per orbit, and stops at the
+    all-sink tuple.  ``tuple_bound`` is the ordered count ``(m+2)^k``,
+    which also bounds the orbits.
     """
 
     def __init__(self, g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET):
@@ -134,11 +142,30 @@ class ProductDigraph:
                     out.append((pos, j, vt[:pos] + (j,) + vt[pos + 1 :]))
         return out
 
+    def orbit_successors(self, vt: tuple) -> list:
+        """The sorted one-move extensions of the sorted tuple *vt*, in move
+        order.  Its minimum-label member is unique, or a repeated sentinel
+        whose copies all make the same moves, so one member advances and
+        each result is re-sorted: the orbits of :meth:`successors`."""
+        lam, snk = self.lam, self.snk_ix
+        ix = min(vt, key=lam.__getitem__)
+        pos = vt.index(ix)
+        rest = vt[:pos] + vt[pos + 1 :]
+        taken = {lam[o] for o in rest}
+        return [
+            tuple(sorted(rest + (j,)))
+            for j in self.succ[ix]
+            if j == snk or lam[j] not in taken
+        ]
+
+    def _ordered_moves(self, vt: tuple) -> list:
+        return [nxt for _, _, nxt in self.successors(vt)]
+
     # -- full materialization ---------------------------------------------------
 
     def _reach(self, limit=float("inf")) -> tuple:
         """The reached tuples and the arcs out of them, in search order."""
-        parents, _ = _search(self, limit=limit)
+        parents, _ = _search(self, self._ordered_moves, limit=limit)
         return parents, [(a, b) for a in parents for _, _, b in self.successors(a)]
 
     def explore(self) -> None:
@@ -184,9 +211,12 @@ class ProductDigraph:
         return "\n".join(lines) + "\n"
 
 
-def _search(product: ProductDigraph, goal: Optional[tuple] = None, limit=float("inf")) -> tuple:
-    """Breadth-first search from the all-source tuple, stopping right after
-    *goal* is first reached (or after everything, without a goal).
+def _search(
+    product: ProductDigraph, moves, goal: Optional[tuple] = None, limit=float("inf")
+) -> tuple:
+    """Breadth-first search from the all-source tuple along *moves* (a
+    tuple's successor tuples), stopping right after *goal* is first reached
+    (or after everything, without a goal).
 
     Returns ``(parents, arcs)``: ``parents`` maps every reached tuple, in
     the order it was reached, to the tuple it was reached from (``None``
@@ -203,7 +233,7 @@ def _search(product: ProductDigraph, goal: Optional[tuple] = None, limit=float("
     queue = deque([product.start])
     while queue:
         cur = queue.popleft()
-        for _, _, nxt in product.successors(cur):
+        for nxt in moves(cur):
             arcs += 1
             if nxt in parents:
                 continue
@@ -230,8 +260,11 @@ def build_product(
 
 @dataclass(frozen=True, slots=True)
 class PathsResult:
-    """Outcome of the snapshot-disjoint packing decision; ``arcs_explored``
-    counts every arc the search followed, repeats to reached tuples included."""
+    """Outcome of the snapshot-disjoint packing decision.
+
+    ``tuples_materialized`` counts the sorted tuples (orbits) the search
+    reached and ``arcs_explored`` every arc it followed, repeats to reached
+    tuples included; ``tuple_bound`` is the ordered-tuple bound ``(m+2)^k``."""
 
     found: bool
     family: tuple
@@ -242,38 +275,47 @@ class PathsResult:
 
 
 def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
-    """Recover one temporal path per coordinate from the goal's ancestry.
+    """Recover one temporal path per chain from the goal's ancestry.
 
-    A coordinate's labels never decrease along the walk, and each move
-    lands on an edge sharing an endpoint with the one before, so replaying
-    a coordinate's moves in order is the label sweep of :func:`reachable`
-    over the graph of that coordinate's edges: each edge already has a
-    reached endpoint, and the edge that first reaches a vertex is its
-    parent.  The admissibility invariant keeps the k coordinates' label
-    sets pairwise disjoint, so the paths walked back from z form the
-    required family.
+    The moves are replayed on k chains, all starting at the source.  A move
+    is read off a sorted tuple and its parent as a multiset difference:
+    one member leaves and one arrives, and the arriving member extends the
+    first chain that holds the leaving one.  Real members carry pairwise
+    distinct labels, so only chains still at the source can tie, and those
+    are interchangeable.
+
+    A chain's labels never decrease, and each move lands on an edge sharing
+    an endpoint with the one before, so replaying a chain's edges in order
+    is the label sweep of :func:`reachable` over the graph of that chain's
+    edges: each edge already has a reached endpoint, and the edge that
+    first reaches a vertex is its parent.  The admissibility invariant keeps
+    the k chains' label sets pairwise disjoint, so the paths walked back
+    from z form the required family.
     """
     s, z = product.s, product.z
     trail = []
     cur = product.goal
     while cur != product.start:
         prev = parents[cur]
-        # A move changes exactly one coordinate.
-        pos = next(i for i, ix in enumerate(prev) if ix != cur[i])
-        trail.append((pos, cur[pos]))
+        trail.append((prev, cur))
         cur = prev
+    held = list(product.start)
     reached_by: list = [{s: None} for _ in range(product.k)]
-    for pos, ix in reversed(trail):
-        if ix == product.snk_ix:
+    for prev, cur in reversed(trail):
+        (leaving,) = Counter(prev) - Counter(cur)
+        (arrived,) = Counter(cur) - Counter(prev)
+        chain = held.index(leaving)
+        held[chain] = arrived
+        if arrived == product.snk_ix:
             continue
-        e = product.members[ix]
-        via = reached_by[pos]
+        e = product.members[arrived]
+        via = reached_by[chain]
         for a, b in ((e.u, e.v), (e.v, e.u)):
             if a in via and b not in via:
                 via[b] = e
     family = []
     for via in reached_by:
-        assert z in via, "coordinate chain must connect the terminals"
+        assert z in via, "chain must connect the terminals"
         family.append(_walk_back(via, s, z))
     seen_labels: set = set()
     for path in family:
@@ -288,11 +330,12 @@ def max_snapshot_disjoint(
     """Decide whether k pairwise snapshot-disjoint temporal s,z-paths
     exist; on success the result carries such a family.
 
-    Breadth-first search over the product digraph, stopping at the first
-    sight of the all-sink tuple.
+    Breadth-first search over the sorted tuples of the product digraph,
+    one per orbit of ordered tuples, stopping at the first sight of the
+    all-sink tuple.
     """
     product = ProductDigraph(g, s, z, k, budget)
-    parents, arcs = _search(product, product.goal)
+    parents, arcs = _search(product, product.orbit_successors, product.goal)
     found = product.goal in parents
     family = _extract_family(product, parents) if found else ()
     return PathsResult(found, family, k, product.tuple_bound, len(parents), arcs)

@@ -48,19 +48,34 @@ class TestPaths:
         assert "no" in out
 
     def test_budget_blown(self, capsys):
-        code, _, err = run(capsys, "paths", "-g", "demo", "-k", "3", "--budget", "10")
+        # the k = 3 search reaches 9 tuples
+        code, _, err = run(capsys, "paths", "-g", "demo", "-k", "3", "--budget", "8")
         assert code == 3
         assert "error" in err
 
     def test_budget_counts_tuples_reached_not_the_bound(self, capsys):
         # (10+2)^7 is far over the default budget, but the search reaches
-        # only 358 tuples.
+        # only 8 tuples.
         code, out, _ = run(capsys, "paths", "-g", "demo", "-k", "7")
         assert code == 1
-        assert "visited 358 tuples" in out
-        code, _, err = run(capsys, "paths", "-g", "demo", "-k", "7", "--budget", "357")
+        assert "visited 8 tuples" in out
+        code, _, err = run(capsys, "paths", "-g", "demo", "-k", "7", "--budget", "7")
         assert code == 3
-        assert "budget of 357 units" in err
+        assert "budget of 7 units" in err
+
+    def test_bound_too_long_for_decimal(self, capsys, tmp_path):
+        # 12^5000 has more digits than Python converts to text, so the
+        # bound is printed and reported as the power itself.
+        report = tmp_path / "run.json"
+        code, out, _ = run(
+            capsys, "paths", "-g", "demo", "-k", "5000", "--report", str(report)
+        )
+        assert code == 1
+        assert "at most (10+2)^5000 = 12^5000 (budget" in out
+        assert "5000 snapshot-disjoint s-z paths: no" in out
+        doc = json.loads(report.read_text())
+        assert doc["budget_used"]["tuple_bound"] == "12^5000"
+        assert doc["budget_used"]["tuples_materialized"] == 8
 
     def test_file_requires_terminals(self, capsys, triangle_file):
         code, _, err = run(capsys, "paths", "-g", triangle_file, "-k", "1")

@@ -13,6 +13,7 @@ from tgmenger.disjoint_paths import (
     SINK,
     SOURCE,
     ProductDigraph,
+    _search,
     build_product,
     max_snapshot_disjoint,
 )
@@ -54,12 +55,14 @@ class TestConstruction:
     def test_budget_caps_the_tuples_reached(self, demo):
         # One unit per tuple reached: a budget equal to the count answers in
         # full, one less raises, and the bound (m+2)^k is never consulted.
+        # The decision reaches the 8 orbits of the 73 ordered tuples that
+        # build_product reaches at k = 4.
         g = demo.graph
-        assert max_snapshot_disjoint(g, "s", "z", 4).tuples_materialized == 73
-        assert not max_snapshot_disjoint(g, "s", "z", 4, budget=73).found
+        assert max_snapshot_disjoint(g, "s", "z", 4).tuples_materialized == 8
+        assert not max_snapshot_disjoint(g, "s", "z", 4, budget=8).found
         with pytest.raises(BudgetExceeded) as blown:
-            max_snapshot_disjoint(g, "s", "z", 4, budget=72)
-        assert blown.value.spent == 73
+            max_snapshot_disjoint(g, "s", "z", 4, budget=7)
+        assert blown.value.spent == 8
         assert len(build_product(g, "s", "z", 3, budget=40).reachable_tuples) == 40
         with pytest.raises(BudgetExceeded):
             build_product(g, "s", "z", 3, budget=39)
@@ -67,7 +70,7 @@ class TestConstruction:
             max_snapshot_disjoint(g, "s", "z", 1, budget=0)
         res = max_snapshot_disjoint(g, "s", "z", 7)
         assert res.tuple_bound == 12**7 > DEFAULT_BUDGET
-        assert (res.found, res.tuples_materialized) == (False, 358)
+        assert (res.found, res.tuples_materialized) == (False, 8)
 
     def test_validity_predicate(self, two_route):
         prod = build_product(two_route.graph, "s", "z", 2)
@@ -138,21 +141,43 @@ class TestDecision:
         assert not max_snapshot_disjoint(g, "a", "c", 1).found
 
     def test_counts_match_the_full_exploration(self, demo, tight_gap, two_route):
-        # A NO answer explores everything build_product does; a YES answer
-        # stops early, so it explores at most that.
-        cases = [(demo, 2), (demo, 3), (tight_gap, 1), (tight_gap, 2), (two_route, 2)]
+        # A NO answer reaches one sorted tuple per orbit of the ordered
+        # tuples build_product reaches; a YES answer stops early, so it
+        # reaches at most that.  An orbit makes at most the moves of any
+        # ordered tuple in it, so the arcs stay within the ordered ones.
+        cases = [(demo, 2), (demo, 3), (demo, 4), (tight_gap, 1), (tight_gap, 2), (two_route, 2)]
         answers = set()
         for fx, k in cases:
             res = max_snapshot_disjoint(fx.graph, fx.s, fx.z, k)
             full = build_product(fx.graph, fx.s, fx.z, k)
-            tuples, arcs = len(full.reachable_tuples), len(full.arcs)
+            orbits = len({tuple(sorted(vt)) for vt in full.reachable_tuples})
             if res.found:
-                assert res.tuples_materialized <= tuples
-                assert res.arcs_explored <= arcs
+                assert res.tuples_materialized <= orbits
             else:
-                assert (res.tuples_materialized, res.arcs_explored) == (tuples, arcs)
+                assert res.tuples_materialized == orbits
+            assert res.arcs_explored <= len(full.arcs)
             answers.add(res.found)
         assert answers == {True, False}
+
+    def test_demo_at_k50_stops_at_the_source(self, demo):
+        # Every chain leaves the source before any advances; three edges
+        # leave s, so the decision reaches their 2^3 subsets and stops.
+        res = max_snapshot_disjoint(demo.graph, "s", "z", 50)
+        assert (res.found, res.tuples_materialized) == (False, 8)
+
+    def test_families_with_many_chains_at_the_source(self):
+        # Four two-hop routes whose first hops leave s in label order 1..4
+        # while their second hops arrive in reverse; a fifth route shares
+        # label 2, so only one of the two may be used.
+        edges = []
+        for i, (first, second) in enumerate([(1, 8), (2, 7), (3, 6), (4, 5), (2, 9)]):
+            edges += [(2 * i, "s", f"v{i}", first), (2 * i + 1, f"v{i}", "z", second)]
+        g = TemporalGraph(edges)
+        for k in (1, 2, 3, 4):
+            res = max_snapshot_disjoint(g, "s", "z", k)
+            assert res.found
+            assert_valid_family(g, "s", "z", res.family, k)
+        assert not max_snapshot_disjoint(g, "s", "z", 5).found
 
     def test_yes_answer_builds_no_graph(self, demo, two_route, monkeypatch):
         builds = []
@@ -188,7 +213,7 @@ def test_matches_oracle_and_is_monotone(seed):
     for s, z in rng.sample(pairs, min(3, len(pairs))):
         truth = brute_force_p(g, s, z).value
         prev = True
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             res = max_snapshot_disjoint(g, s, z, k)
             assert res.found == (truth >= k)
             if res.found:
@@ -284,19 +309,16 @@ def test_successors_follow_the_move_rule(seed, k):
     for vt in prod.reachable_tuples:
         assert prod.successors(vt) == written_out_moves(prod, vt)
         assert prod.is_valid(vt)
+        # the orbit moves are the orbits of the ordered moves
+        orbit = tuple(sorted(vt))
+        assert set(prod.orbit_successors(orbit)) == {
+            tuple(sorted(nxt)) for _, _, nxt in prod.successors(vt)
+        }
 
 
-# sha256 of the packing answers over the corpus below, recorded from the
-# search that built its moves with a double loop over all edge pairs and
-# read each family off a rebuilt graph per coordinate.
-ANSWER_DIGEST = "5fe1be8394339f9d83d2379dee64f15a140805fb4b12023254ad5fcc99a18934"
-
-
-def corpus_answers():
-    """Every packing decision at k = 1-3 over 300 seeded random graphs
-    (every third one larger) and up to 3 terminal pairs each, as the
-    found flag, the family's edge sequences and the counts; every tenth
-    graph adds its k = 2 product's sorted tuples and arcs."""
+def corpus():
+    """300 seeded random graphs (every third one larger) and up to 3
+    terminal pairs each, as ``(graph index, graph, s, z)``."""
     for i in range(300):
         rng = random.Random(i)
         if i % 3 == 2:
@@ -305,18 +327,54 @@ def corpus_answers():
             g = random_temporal_graph(rng)
         pairs = terminals(g)
         for s, z in rng.sample(pairs, min(3, len(pairs))):
-            for k in (1, 2, 3):
-                res = max_snapshot_disjoint(g, s, z, k)
-                yield (
-                    res.found,
-                    [w.sequence() for w in res.family],
-                    res.tuple_bound,
-                    res.tuples_materialized,
-                    res.arcs_explored,
-                )
-            if i % 10 == 0:
-                prod = build_product(g, s, z, 2)
-                yield sorted(prod.reachable_tuples), sorted(prod.arcs)
+            yield i, g, s, z
+
+
+def test_decisions_match_the_ordered_search():
+    # The ordered search over the paper's product is the reference: the
+    # orbit search gives the same answer, and on a NO answer it reaches one
+    # sorted tuple per orbit of the ordered tuples reached.
+    answers = set()
+    for _, g, s, z in corpus():
+        for k in (1, 2, 3):
+            res = max_snapshot_disjoint(g, s, z, k)
+            product = ProductDigraph(g, s, z, k)
+            reached, _ = _search(product, product._ordered_moves)
+            assert res.found == (product.goal in reached)
+            orbits = len({tuple(sorted(vt)) for vt in reached})
+            if res.found:
+                assert res.tuples_materialized <= orbits
+            else:
+                assert res.tuples_materialized == orbits
+            answers.add(res.found)
+    assert answers == {True, False}
+
+
+# sha256 of the packing answers over the corpus, recorded from the orbit
+# search after test_decisions_match_the_ordered_search and the oracle
+# tests passed on it; every found flag and family equals the ordered
+# search's, whose digest was 5fe1be83...cc99a18934, and only the counts
+# changed.
+ANSWER_DIGEST = "e49b18865e564bfe94cdec4d1ac2477877153aebfbfec90d07f38295e34b8bda"
+
+
+def corpus_answers():
+    """Every packing decision at k = 1-3 over the corpus, as the found
+    flag, the family's edge sequences and the counts; every tenth graph
+    adds its k = 2 product's sorted tuples and arcs."""
+    for i, g, s, z in corpus():
+        for k in (1, 2, 3):
+            res = max_snapshot_disjoint(g, s, z, k)
+            yield (
+                res.found,
+                [w.sequence() for w in res.family],
+                res.tuple_bound,
+                res.tuples_materialized,
+                res.arcs_explored,
+            )
+        if i % 10 == 0:
+            prod = build_product(g, s, z, 2)
+            yield sorted(prod.reachable_tuples), sorted(prod.arcs)
 
 
 def test_answers_match_recorded_digest():

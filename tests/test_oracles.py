@@ -1,5 +1,6 @@
 """Exhaustive reference oracles and the semantic Mengerian sweep."""
 
+import hashlib
 import math
 
 import pytest
@@ -189,6 +190,9 @@ class TestSemanticSweep:
             assert not semantic_is_mengerian(shape), code
 
 
+CANONICAL_FORM_DIGEST = "7540f2d476f5415f15358f8018abf186d6468e1ce97d74f8636478d90e65f664"
+
+
 class TestEnumeration:
     def test_simple_graph_counts(self):
         # unlabeled simple graphs on n vertices: 1, 1, 2, 4, 11, 34
@@ -202,6 +206,24 @@ class TestEnumeration:
         assert all(len(mg.vertices) <= 3 and mg.size() <= 4 for mg in graphs)
         # K2 with multiplicities 1..4 plus P3/triangle families; spot check
         assert any(mg.size() == 4 and len(mg.vertices) == 2 for mg in graphs)
+
+    def test_canonical_forms_match_recorded_digest(self, monkeypatch):
+        # sha256 of every value canonical_form returned during the two
+        # sweeps, in call order, recorded from the version that compared
+        # sorted (min, max, multiplicity) triples for each vertex order.
+        forms = []
+        canonical_form = MGraph.canonical_form
+
+        def recording(self):
+            forms.append(canonical_form(self))
+            return forms[-1]
+
+        monkeypatch.setattr(MGraph, "canonical_form", recording)
+        enumerate_simple_graphs(5)
+        enumerate_connected_multigraphs(4, 6)
+        assert len(forms) == 1741
+        digest = hashlib.sha256(repr(forms).encode()).hexdigest()
+        assert digest == CANONICAL_FORM_DIGEST
 
     def test_minimal_bad_search_small(self):
         found = search_minimal_non_mengerian(4, 5)
