@@ -401,7 +401,8 @@ def _add_instance_args(p, terminals=True):
 def _add_budget_args(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="stop with exit 3 once the search has spent more than this "
-                   "many units (product tuples, or cut search nodes and checks)")
+                   "many units (product tuples, or cut search nodes and checks); "
+                   "must be at least 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

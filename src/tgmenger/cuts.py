@@ -236,6 +236,8 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """
     if h is not None and h < 0:
         raise MalformedInput("cut size bound must be >= 0")
+    if budget < 0:
+        raise MalformedInput("budget must be at least 0")
     check_terminals(g, s, z)
     walk = _walk_avoiding(g, s, z)
     if walk is None:

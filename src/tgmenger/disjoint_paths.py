@@ -72,6 +72,8 @@ class ProductDigraph:
     def __init__(self, g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET):
         if k < 1:
             raise MalformedInput("k must be at least 1")
+        if budget < 0:
+            raise MalformedInput("budget must be at least 0")
         check_terminals(g, s, z)
         self.graph = g
         self.s = s

@@ -9,7 +9,8 @@ Mengerian question for untimed multigraphs: sweep *every* order type of
 timefunction (weak orders over the edge set), compute the packing and
 covering numbers for each, and report a violating labeling if one exists.
 This is the independent instrument the recognition routine is judged
-against, so it deliberately shares no code with it.
+against, so it deliberately shares no code with it.  Gap verdicts are
+cached per family of realizable label masks for the life of the process.
 """
 
 from __future__ import annotations
@@ -379,6 +380,21 @@ def _hits_with(masks: list, universe: list, size: int) -> bool:
     return go(0, size, list(masks))
 
 
+@lru_cache(maxsize=None)
+def _gap_open(masks: frozenset) -> bool:
+    """Is packing below covering for a pair whose realizable label sets
+    are *masks*?  Masks are bitmasks over labels 1..8, so families recur
+    across patterns, pairs and graphs: each is decided once per process."""
+    kept = _antichain(masks)
+    if len(kept) == 1:
+        return False
+    p, _ = max_disjoint_masks(kept)
+    # covering >= packing always; the gap is open iff no hitting set of
+    # size exactly p exists.
+    universe = sorted({t for mk in kept for t in _bits(mk)})
+    return not _hits_with(kept, universe, p)
+
+
 def _automorphism_pair_reps(mg: MGraph) -> list:
     """One unordered terminal pair per automorphism orbit.
 
@@ -407,8 +423,9 @@ def _automorphism_pair_reps(mg: MGraph) -> list:
 
 
 def _sweep(mg: MGraph) -> Optional[tuple]:
-    """Pattern sweep on a connected multigraph; returns a violating
-    ``(s, z, labels per link)`` triple or ``None``."""
+    """Pattern sweep on a connected multigraph; returns the first violating
+    ``(s, z, labels per link)`` triple in pattern, then pair, order or
+    ``None``.  Gap tests go through the cached :func:`_gap_open`."""
     links = mg.sorted_links()
     m = mg.size()
     slot_of: list = []
@@ -439,16 +456,7 @@ def _sweep(mg: MGraph) -> Optional[tuple]:
             masks: set = set()
             for path in ps.paths:
                 masks |= _realizable_masks(path, link_labels)
-            if not masks:
-                continue
-            kept = _antichain(masks)
-            if len(kept) == 1:
-                continue
-            p, _ = max_disjoint_masks(kept)
-            # covering >= packing always; the gap is open iff no hitting
-            # set of size exactly p exists.
-            universe = sorted({t for mk in kept for t in _bits(mk)})
-            if not _hits_with(kept, universe, p):
+            if masks and _gap_open(frozenset(masks)):
                 return (ps.s, ps.z, link_labels)
     return None
 
@@ -469,8 +477,9 @@ def semantic_is_mengerian(mg: MGraph) -> bool:
     """Does packing equal covering for *every* timefunction and terminal
     pair?  Decided by exhaustive sweep over label order types.
 
-    Verdicts are memoized by isomorphism class (the sweep is expensive);
-    disconnected graphs are answered component-wise.
+    Verdicts are memoized by isomorphism class, and the sweep's gap
+    verdicts per family of realizable label masks, for the life of the
+    process; disconnected graphs are answered component-wise.
     """
     comps = mg.components()
     if len(comps) > 1:

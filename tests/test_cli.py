@@ -461,6 +461,23 @@ class TestExportDot:
         assert "-s and -z" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "-g", "demo", "-k", "2", "--budget", "-1"],
+        ["cut", "-g", "demo", "-k", "0", "--budget", "-1"],
+        ["mcut", "-g", "demo", "-k", "1", "--budget", "-5"],
+        ["export-dot", "-g", "demo", "--product", "--budget", "-3"],
+    ],
+)
+def test_negative_budget_exits_2(capsys, argv):
+    # One rule in every engine, not a "no" from one and a blown budget
+    # from another.
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "budget must be at least 0" in err
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "doc",

@@ -2,13 +2,18 @@
 
 import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgmenger.core import MGraph, TemporalGraph
 from tgmenger.errors import LimitExceeded, PatternTooLarge
 from tgmenger.mengerian import catalog_entry
 from tgmenger.oracles import (
+    _gap_open,
+    _masks_over,
     all_label_patterns,
     brute_force_c,
     brute_force_edge_disjoint,
@@ -160,6 +165,9 @@ class TestLabelPatterns:
             all_label_patterns(9)
 
 
+SEMANTIC_WITNESS_DIGEST = "bc2b0629114e800aa6c71a57d9b04a75268e9d496e6c3795796d8582a3888d27"
+
+
 class TestSemanticSweep:
     def test_doubled_triangle_is_tight(self):
         mg = MGraph([("a", "b", 2), ("b", "c", 2), ("c", "a", 2)])
@@ -188,6 +196,45 @@ class TestSemanticSweep:
         for code in ("M1", "M2", "M3", "M4", "M5"):
             shape = catalog_entry(code).shape
             assert not semantic_is_mengerian(shape), code
+
+    def test_violations_match_recorded_digest(self):
+        # sha256 of each sweep witness (terminals and sorted labeled edges)
+        # or None, recorded before gap verdicts were cached per mask family.
+        graphs = list(enumerate_connected_multigraphs(4, 6))
+        for code in ("M1", "M2", "M3", "M4", "M5"):
+            shape = catalog_entry(code).shape
+            graphs.append(shape)
+            for (a, b), mult in shape.sorted_links():
+                graphs.append(shape.set_multiplicity(a, b, mult - 1))
+        digest = hashlib.sha256()
+        for mg in graphs:
+            bad = find_semantic_violation(mg)
+            seen = None if bad is None else (bad.s, bad.z, sorted(bad.labeling.edges))
+            digest.update(repr(seen).encode() + b"\n")
+        assert digest.hexdigest() == SEMANTIC_WITNESS_DIGEST
+
+    def test_gap_open_examples(self):
+        # Three pairwise-meeting label sets: packing 1, covering 2.
+        assert _gap_open(frozenset({0b110, 0b1100, 0b1010}))
+        assert not _gap_open(frozenset({0b110}))
+        assert not _gap_open(frozenset({0b110, 0b1110, 0b1000}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_gap_open_matches_set_cover(self, seed):
+        # Random families of label bitmasks over 1..8, single masks and
+        # families with supersets (not antichains) included, against the
+        # independent packing and covering searches.
+        rng = random.Random(seed)
+        family = {rng.randint(1, 255) << 1 for _ in range(rng.randint(1, 7))}
+        if rng.random() < 0.5:
+            family.add(rng.choice(sorted(family)) | rng.randint(1, 255) << 1)
+        sets = [frozenset(t for t in range(1, 9) if m >> t & 1) for m in family]
+        universe = sorted(frozenset().union(*sets))
+        masks = _masks_over(universe, sets)
+        gap = max_disjoint_masks(masks)[0] < min_hitting_set(masks, universe)[0]
+        assert _gap_open(frozenset(family)) == gap
+        assert _gap_open.__wrapped__(frozenset(family)) == gap
 
 
 CANONICAL_FORM_DIGEST = "7540f2d476f5415f15358f8018abf186d6468e1ce97d74f8636478d90e65f664"
