@@ -81,6 +81,8 @@ def _power(base: int, exp: int):
 
 def cmd_paths(args) -> int:
     g, s, z, name = _load_instance(args)
+    # Malformed input prints no bound line.
+    disjoint_paths.check_question(g, s, z, args.k, args.budget)
     m = len(g.edges)
     bound = _power(m + 2, args.k)
     print(
@@ -143,7 +145,7 @@ def _cut_command(args, kind: str) -> int:
             witness = [list(p) for p in sorted(res.multiedges, key=pair_key)]
             if witness:
                 print(f"  remove multiedges {witness}")
-    print(f"engine {res.engine}, {res.subsets_checked} search nodes visited, {elapsed:.3f}s")
+    print(f"engine {res.engine}, {res.subsets_checked} distinct subsets searched, {elapsed:.3f}s")
     _write_report(
         args.report,
         {

@@ -17,22 +17,31 @@ use candidates, and a subset cuts the graph iff it hits every path mask.
   disjoint masks, a lower bound on the cut size; more than *h* of them
   answer no at once.  If every seed mask is a single candidate, their
   union is the only cut of that size.
-* Search: a depth-first search picks candidate indices in increasing
-  order, one size at a time from the lower bound, so it meets the subsets
-  in (size, lex) order.  A mask whose highest bit lies below the index
+* Decide: for each size from the lower bound up, a bounded search tree
+  decides whether a cut of that size exists.  Each node branches on the
+  known mask still unhit with the fewest live bits (bits not yet ruled
+  out): child j picks that mask's j-th live bit and rules out the ones
+  before it, so no subset is reached twice within a size.  A node is
+  dropped when a mask has no live bit left, or when more masks than it
+  may still pick have pairwise disjoint live bits.  A subset that hits
+  every known mask is checked; if it is no cut, the check's path gives a
+  new mask that misses the subset and all its ancestors, so every open
+  node learns it and the search goes on from the same node.
+* Witness: only on a yes, a depth-first search at exactly that minimum
+  size picks candidate indices in increasing order, so it meets the
+  subsets in lex order.  A mask whose highest bit lies below the index
   just chosen can never be hit again, so each branch loop ends at the
-  lowest highest bit among the known masks still unhit, and a subtree is
-  skipped when more masks than it may still choose have pairwise disjoint
-  bits among the indices left to it.  A subset that hits every known mask
-  is checked; if it is no cut, the check's path gives a new mask that
-  misses the subset and all its prefixes, so every open frame learns it
-  and the search goes on from the same node.
+  lowest highest bit among the known masks still unhit, and subtrees are
+  dropped as above.  It starts from every mask learnt so far, learns more
+  the same way, and does not check again the cut the decision confirmed.
 
 Known masks only grow and every cut hits them, so the pruning drops no
-cut and the first subset confirmed is the lexicographically least
-minimum-size witness.  ``budget`` counts search nodes plus every
-reachability check after the first; :class:`BudgetExceeded` is raised as
-soon as they exceed it.
+cut and the first subset the witness search confirms is the
+lexicographically least minimum-size witness.  ``budget`` counts every
+search node visited in either phase plus every reachability check after
+the first; :class:`BudgetExceeded` is raised as soon as they exceed it.
+The reported count is of distinct subsets reached, so it never exceeds
+the number of subsets of the searched sizes.
 
 All four searches (at most *h* or minimum, snapshot or multiedge) return
 one :class:`CutResult` shape: ``found``, ``value`` (the witness size),
@@ -64,7 +73,8 @@ class CutResult:
     cut's (the other stays ``None``); ``value`` is the witness size, ``None``
     when no cut within the bound exists.  A minimum-cut search always finds
     one.  The rest is work accounting: the candidate list searched, the
-    search nodes visited, the number of subsets of the searched sizes, and
+    distinct subsets the search reached (``subsets_checked``, at most
+    ``subset_bound``), the number of subsets of the searched sizes, and
     the engine that ran (always ``"hitting"``).
     """
 
@@ -134,6 +144,35 @@ def _subset_bound(n: int, h: int) -> int:
 # -- the lazy hitting-set engine -----------------------------------------------
 
 
+def _branch_bits(unhit: list, excluded: int, left: int) -> int:
+    """The bits to branch on at a node whose picked bits miss the *unhit*
+    masks, with the *excluded* bits ruled out and *left* more picks
+    allowed: the live bits (those not excluded) of the unhit mask with the
+    fewest, or 0 when no extension of the node hits every mask.  That is
+    so when a mask has no live bit, or when more than *left* masks have
+    pairwise disjoint live bits.
+    """
+    if left == 0:
+        return 0
+    best = 0
+    fewest = math.inf
+    union = 0
+    disjoint = 0
+    for m in unhit:
+        live = m & ~excluded
+        if not live:
+            return 0
+        if not live & union:
+            disjoint += 1
+            if disjoint > left:
+                return 0
+            union |= live
+        count = live.bit_count()
+        if count < fewest:
+            best, fewest = live, count
+    return best
+
+
 def _branches(n: int, start: int, left: int, remaining: list) -> range:
     """Candidate indices worth trying next, once indices below *start* are
     settled and *left* more may be chosen to hit the *remaining* masks.
@@ -147,46 +186,129 @@ def _branches(n: int, start: int, left: int, remaining: list) -> range:
     # A smaller positive int never has a longer bit length, so the least
     # mask has the lowest highest bit.
     stop = min(n - left + 1, min(remaining).bit_length())
-    if left == 0 or stop <= start:
+    if stop <= start or not _branch_bits(remaining, (1 << start) - 1, left):
         return range(0)
-    union = 0
-    disjoint = 0
-    floor = -1 << start
-    for m in remaining:
-        live = m & floor
-        if not live & union:
-            disjoint += 1
-            if disjoint > left:
-                return range(0)
-            union |= live
     return range(start, stop)
+
+
+class _HittingSearch:
+    """The state one :func:`_hitting_search` call shares between its
+    phases: the known masks, the budget spent, the distinct subsets
+    reached and the one subset confirmed a cut."""
+
+    def __init__(self, known: list, escape, budget: int):
+        self.known = known
+        self.escape = escape
+        self.budget = budget
+        self.spent = 0
+        self.reached: set = set()
+        self.confirmed: Optional[int] = None
+
+    def charge(self) -> None:
+        self.spent += 1
+        if self.spent > self.budget:
+            raise BudgetExceeded(self.spent, self.budget, "cut hitting-set search")
+
+    def visit(self, picked: int) -> None:
+        self.charge()
+        self.reached.add(picked)
+
+    def check(self, picked: int) -> Optional[int]:
+        """``escape(picked)``, but a subset confirmed a cut once is not
+        checked again."""
+        if picked == self.confirmed:
+            return None
+        self.charge()
+        m = self.escape(picked)
+        if m is None:
+            self.confirmed = picked
+        return m
+
+    def decide(self, size: int) -> Optional[int]:
+        """A cut of at most *size* candidates, or ``None`` when there is
+        none: a bounded search tree that branches on the bits of the unhit
+        mask with the fewest live bits.  Child j picks bit b_j and
+        excludes b_1..b_{j-1}, so no subset is reached twice.
+        """
+        known = self.known
+        # frame: [picked, excluded, picks left, masks unhit, bits to try]
+        stack = [[0, 0, size, known, _branch_bits(known, 0, size)]]
+        while stack:
+            frame = stack[-1]
+            picked, excluded, left, unhit, todo = frame
+            if not todo:
+                stack.pop()
+                continue
+            bit = todo & -todo
+            frame[1] = excluded | bit
+            frame[4] = todo ^ bit
+            picked |= bit
+            self.visit(picked)
+            rest = [m for m in unhit if not m & bit]
+            if not rest:
+                m = self.check(picked)
+                if m is None:
+                    return picked
+                # The path misses every ancestor's picked bits too, so every
+                # open frame learns its mask; the root's list is *known*.
+                for f in stack:
+                    f[3].append(m)
+                rest = [m]
+            todo = _branch_bits(rest, excluded, left - 1)
+            if todo:
+                stack.append([picked, excluded, left - 1, rest, todo])
+        return None
+
+    def least(self, n: int, size: int) -> int:
+        """The lexicographically least cut of exactly *size* candidates,
+        when one is known to exist: a depth-first search that picks indices
+        in increasing order, so it meets the subsets in lex order.
+        """
+        # the bits picked before each frame's choice
+        prefixes = [0]
+        # frame: (index iterator, choices left after this one, masks unhit)
+        stack = [(iter(_branches(n, 0, size, self.known)), size - 1, self.known)]
+        while stack:
+            indices, left, remaining = stack[-1]
+            i = next(indices, None)
+            if i is None:
+                stack.pop()
+                prefixes.pop()
+                continue
+            picked = prefixes[-1] | 1 << i
+            self.visit(picked)
+            rest = [m for m in remaining if not m & picked]
+            if not rest:
+                m = self.check(picked)
+                if m is None:
+                    return picked
+                for _, _, unhit in stack:
+                    unhit.append(m)
+                rest = [m]
+            prefixes.append(picked)
+            stack.append((iter(_branches(n, i + 1, left, rest)), left - 1, rest))
+        raise AssertionError("a cut of this size was confirmed")
 
 
 def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple:
     """Lexicographically least minimum hitting set, of size at most *most*,
     of the masks over *n* candidates that *escape* reveals; returns
-    (witness bits or None, search nodes visited).
+    (witness bits or None, distinct subsets reached).
 
     ``escape(picked)`` returns the mask of an s,z-path that uses none of
     the candidates in the bit set *picked*, or ``None`` when *picked* is a
     cut; *first* is the mask of the path found with nothing removed.  Each
-    search node and each call of *escape* costs one unit, and
+    search node visited and each call of *escape* costs one unit, and
     :class:`BudgetExceeded` is raised once more than *budget* are spent.
-    The search keeps an explicit stack, one frame per chosen index, so a
-    cut of any size cannot exhaust the interpreter's recursion limit.
+    The count of distinct subsets is at most ``_subset_bound(n, most)``.
+    Both phases keep an explicit stack, so a cut of any size cannot
+    exhaust the interpreter's recursion limit.
     """
-    spent = 0
-
-    def charge() -> None:
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise BudgetExceeded(spent, budget, "cut hitting-set search")
-
-    known = [first]
+    search = _HittingSearch([first], escape, budget)
+    known = search.known
     removed = first
     while len(known) <= most:
-        charge()
+        search.charge()
         m = escape(removed)
         if m is None:
             break
@@ -195,38 +317,12 @@ def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple
     else:
         return None, 0
     if all(m & (m - 1) == 0 for m in known):
-        charge()
+        search.charge()
         return removed, 1
-    nodes = 0
     for size in range(len(known), most + 1):
-        # the bits picked before each frame's choice
-        prefixes = [0]
-        # frame: (index iterator, choices left after this one, masks unhit)
-        stack = [(iter(_branches(n, 0, size, known)), size - 1, known)]
-        while stack:
-            indices, left, remaining = stack[-1]
-            i = next(indices, None)
-            if i is None:
-                stack.pop()
-                prefixes.pop()
-                continue
-            nodes += 1
-            charge()
-            picked = prefixes[-1] | 1 << i
-            rest = [m for m in remaining if not m & picked]
-            if not rest:
-                charge()
-                m = escape(picked)
-                if m is None:
-                    return picked, nodes
-                # The path misses every prefix of *picked* too, so every
-                # open frame learns its mask.
-                for _, _, unhit in stack:
-                    unhit.append(m)
-                rest = [m]
-            prefixes.append(picked)
-            stack.append((iter(_branches(n, i + 1, left, rest)), left - 1, rest))
-    return None, nodes
+        if search.decide(size) is not None:
+            return search.least(n, size), len(search.reached)
+    return None, len(search.reached)
 
 
 def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:

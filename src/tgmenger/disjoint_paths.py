@@ -57,6 +57,16 @@ SOURCE = _Sentinel("src")
 SINK = _Sentinel("snk")
 
 
+def check_question(g: TemporalGraph, s, z, k: int, budget: int) -> None:
+    """The input rule of every packing question: the terminal rule, k at
+    least 1 and a budget of at least 0 (:class:`MalformedInput`)."""
+    if k < 1:
+        raise MalformedInput("k must be at least 1")
+    if budget < 0:
+        raise MalformedInput("budget must be at least 0")
+    check_terminals(g, s, z)
+
+
 class ProductDigraph:
     """The k-tuple digraph for one (graph, s, z, k) question.
 
@@ -70,11 +80,7 @@ class ProductDigraph:
     """
 
     def __init__(self, g: TemporalGraph, s, z, k: int, budget: int = DEFAULT_BUDGET):
-        if k < 1:
-            raise MalformedInput("k must be at least 1")
-        if budget < 0:
-            raise MalformedInput("budget must be at least 0")
-        check_terminals(g, s, z)
+        check_question(g, s, z, k, budget)
         self.graph = g
         self.s = s
         self.z = z

@@ -63,6 +63,20 @@ class TestPaths:
         assert code == 3
         assert "budget of 7 units" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-k", "0"], "k must be at least 1"),
+            (["-k", "2", "--budget", "-1"], "budget must be at least 0"),
+            (["-k", "2", "-s", "nowhere"], "unknown vertex"),
+        ],
+    )
+    def test_malformed_question_prints_no_bound(self, capsys, argv, message):
+        code, out, err = run(capsys, "paths", "-g", "demo", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_bound_too_long_for_decimal(self, capsys, tmp_path):
         # 12^5000 has more digits than Python converts to text, so the
         # bound is printed and reported as the power itself.
@@ -134,7 +148,7 @@ class TestCuts:
             "--report", str(report),
         )
         assert code == 0
-        assert "engine hitting, 1 search nodes visited" in out
+        assert "engine hitting, 1 distinct subsets searched" in out
         assert "subsets checked" not in out
         used = json.loads(report.read_text())["budget_used"]
         assert (used["engine"], used["subsets_checked"]) == ("hitting", 1)

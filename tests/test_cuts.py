@@ -231,10 +231,12 @@ class TestEngines:
         assert res.engine == "hitting" and res.subsets_checked == 0
         with pytest.raises(BudgetExceeded):
             cuts.multiedge_cut_at_most(g, s, z, 3, budget=2)
-        # The search needs 16,318 nodes for h=8.
-        assert cuts.multiedge_cut_at_most(g, s, z, 8).subsets_checked > 10_000
+        # For h=8 the search reaches 550 distinct subsets and spends 620
+        # units on node visits and checks.
+        res = cuts.multiedge_cut_at_most(g, s, z, 8, budget=620)
+        assert not res.found and res.subsets_checked == 550
         with pytest.raises(BudgetExceeded):
-            cuts.multiedge_cut_at_most(g, s, z, 8, budget=10_000)
+            cuts.multiedge_cut_at_most(g, s, z, 8, budget=619)
 
     def test_path_listing_is_charged_to_the_budget(self):
         # s, four layers of 7 vertices, z; each layer pair is joined at two
@@ -269,6 +271,16 @@ class TestEngines:
         assert res.value == 1100
         assert res.labels == frozenset(range(1, 1101))
 
+    def test_deep_search_does_not_recurse(self):
+        # 1,100 routes s-v_i-z at labels 2i+1 and 2i+2: each path mask has
+        # two bits, so both phases of the search go 1,100 picks deep.
+        edges = []
+        for i in range(1100):
+            edges += [(2 * i, "s", f"v{i}", 2 * i + 1), (2 * i + 1, f"v{i}", "z", 2 * i + 2)]
+        res = cuts.min_snapshot_cut(TemporalGraph(edges), "s", "z")
+        assert res.value == 1100
+        assert res.labels == frozenset(range(1, 2200, 2))
+
 
 class TestHittingEngine:
     @staticmethod
@@ -296,6 +308,33 @@ class TestHittingEngine:
         bits, _ = cuts._hitting_search(n, most, escape(0), escape, 10**9)
         witness = None if bits is None else frozenset(i for i in range(n) if bits >> i & 1)
         assert witness == self.brute_force(n, hidden, range(most + 1))
+
+    @staticmethod
+    def revealing(order):
+        """The callback for a hidden mask family: the first mask in *order*
+        that the picked bits miss."""
+        return lambda picked: next((m for m in order if not m & picked), None)
+
+    def test_distinct_subsets_within_bound(self):
+        # Counting every node visit overran the bound on about 1 in 200 of
+        # these families.
+        rng = random.Random(9)
+        for _ in range(4000):
+            n = rng.randint(3, 5)
+            order = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 12))]
+            most = rng.randint(0, n)
+            escape = self.revealing(order)
+            _, reached = cuts._hitting_search(n, most, escape(0), escape, 10**9)
+            assert reached <= cuts._subset_bound(n, most), (n, order, most)
+
+    def test_bound_holds_where_counting_every_visit_overran(self):
+        # The masks [4, 7, 5, 1, 1, 7, 3, 2, 4] revealed in this order:
+        # counting every node visit reached 8 against a bound of 7.  No
+        # two candidates hit the singletons 1, 2 and 4.
+        escape = self.revealing([7, 3, 1, 4, 5, 2, 1, 4, 7])
+        bits, reached = cuts._hitting_search(3, 2, escape(0), escape, 10**9)
+        assert bits is None
+        assert reached <= cuts._subset_bound(3, 2) == 7
 
     def test_pruned_node_count(self):
         # Unpruned, this search visited 694,898 nodes.
