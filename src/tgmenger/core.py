@@ -18,6 +18,16 @@ the cut checks ask "is *z* still reachable once these labels or
 multiedges are gone?" of the graph itself instead of rebuilding it
 without them.
 
+Every solver for a terminal pair asks its questions of the graph through
+one view of that pair, kept by the graph for the last pair it was asked
+about and built lazily: the full forward sweep from *s* with its first
+s,z-walk, the edges on some s,z-walk (which alone need the backward
+sweep from *z*), and whatever a solver module derives from those, such as
+the cut candidates and the product's move tables.  Repeated questions on
+one pair share that work; a question on another pair replaces the view,
+so a graph holds at most one pair's derived data.  Copies and pickles
+leave it out.
+
 The module also provides :class:`MGraph`, the untimed multigraph skeleton
 (vertices, links, multiplicities) used by the recognition machinery, plus
 m-subdivision and a small-pattern topological-minor matcher that respects
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     AbstractSet,
     Hashable,
@@ -123,7 +134,9 @@ class TemporalGraph:
         Largest label, or 0 for an edgeless graph.
 
     The label index maps each label, in increasing order, to its snapshot:
-    the edges at that label in construction order.
+    the edges at that label in construction order.  The edges in id order
+    and the view of the last terminal pair asked about are derived on
+    demand and left out of copies and pickles.
     """
 
     def __init__(self, edges: Iterable, vertices: Iterable[Vertex] = ()):
@@ -175,6 +188,11 @@ class TemporalGraph:
         self._multi = {
             pair: tuple(sorted(es, key=lambda e: e.t)) for pair, es in self._multi.items()
         }
+        self._sorted: Optional[tuple] = None
+        self._view: Optional[_PairView] = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_sorted": None, "_view": None}
 
     # -- access -----------------------------------------------------------
 
@@ -205,7 +223,19 @@ class TemporalGraph:
         return dict(self._multi)
 
     def sorted_edges(self) -> tuple:
-        return tuple(sorted(self.edges, key=lambda e: token_key(e.eid)))
+        """The edges in edge-id order, sorted once per graph."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.edges, key=lambda e: token_key(e.eid)))
+        return self._sorted
+
+    def _pair(self, s: Vertex, z: Vertex) -> "_PairView":
+        """The view of the terminal pair *s*, *z*, which the caller has
+        checked: the one kept when it is of this pair, else a new one in
+        its place."""
+        view = self._view
+        if view is None or view.s != s or view.z != z:
+            view = self._view = _PairView(self, s, z)
+        return view
 
     def underlying(self) -> "MGraph":
         """Forget the timefunction, keeping multiplicities."""
@@ -405,6 +435,61 @@ def _sweep(
                             return reached, parent
                         changed = True
     return reached, parent
+
+
+class _PairView:
+    """The data one graph derives from one terminal pair, each part built
+    on first use.  Nothing in it depends on a question's bound or budget,
+    so every question on the pair reads the same values."""
+
+    def __init__(self, g: TemporalGraph, s: Vertex, z: Vertex):
+        self.graph = g
+        self.s = s
+        self.z = z
+        self._derived: dict = {}
+
+    @cached_property
+    def forward(self) -> tuple:
+        """Earliest arrivals and parent edges of one full forward sweep
+        from *s*."""
+        return _sweep(self.graph, self.s, True)
+
+    @cached_property
+    def walk(self) -> Optional[TemporalWalk]:
+        """:func:`reachable`'s witness, or ``None`` when *z* is
+        unreachable.  A vertex's parent is fixed when it is first reached,
+        so the full sweep's parent chain back from *z* is that of a sweep
+        stopped at *z*."""
+        ea, parent = self.forward
+        return _walk_back(parent, self.s, self.z) if self.z in ea else None
+
+    @cached_property
+    def useful(self) -> tuple:
+        """Edges that lie on some temporal s,z-walk, hence the only edges a
+        minimal cut can use.
+
+        An edge uv at time t lies on such a walk iff one endpoint is
+        reachable from s by time t and the other can still reach z from
+        time t on; the backward sweep from *z* is run for this alone.
+        """
+        ea = self.forward[0]
+        ld = _sweep(self.graph, self.z, False)[0]
+        useful = []
+        for e in self.graph.edges:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if ea.get(a, INF) <= e.t and ld.get(b, -INF) >= e.t:
+                    useful.append(e)
+                    break
+        return tuple(useful)
+
+    def derived(self, build):
+        """``build(self)``, computed once per view: how a solver module
+        keeps its own tables of the pair."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
 
 def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
@@ -748,6 +833,28 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
         key=lambda kv: (-kv[1], *pair_key(kv[0])),
     )
 
+    def mults(g: MGraph) -> dict:
+        """Each vertex's link multiplicities, in decreasing order."""
+        out: dict = {v: [] for v in g.vertices}
+        for (u, v), m in g.links.items():
+            out[u].append(m)
+            out[v].append(m)
+        for ms in out.values():
+            ms.sort(reverse=True)
+        return out
+
+    # A pattern vertex with c links of multiplicity >= m needs an image with
+    # c distinct neighbours through links of multiplicity >= m, because its
+    # links' paths are internally disjoint and so leave the image through
+    # distinct neighbours.  For every m at once: the image's multiplicities,
+    # in decreasing order, dominate the pattern vertex's term by term.
+    p_mults = mults(pattern)
+    h_mults = mults(host)
+
+    def fits(pv: Vertex, hv: Vertex) -> bool:
+        need, have = p_mults[pv], h_mults[hv]
+        return len(have) >= len(need) and all(a >= b for a, b in zip(have, need))
+
     def paths_between(a: Vertex, b: Vertex, mult: int, banned: frozenset) -> Iterator[tuple]:
         """Simple host a,b-paths avoiding ``banned`` internally, using only
         links of multiplicity >= mult."""
@@ -796,9 +903,8 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
                 return None
             return MinorEmbedding(dict(vmap), paths)
         pv = p_verts[i]
-        need = pattern.underlying_degree(pv)
         for hv in h_verts:
-            if hv in used or host.underlying_degree(hv) < need:
+            if hv in used or not fits(pv, hv):
                 continue
             vmap[pv] = hv
             used.add(hv)

@@ -11,9 +11,11 @@ masks (the candidates each s,z-path uses), with the masks learnt lazily
 from reachability checks instead of listed up front.  Minimal cuts only
 use candidates, and a subset cuts the graph iff it hits every path mask.
 
-* Seed: each check is one masked sweep of the graph that returns an
-  s,z-path avoiding the removed candidates, so no check rebuilds the
-  graph.  Removing each found path's candidates in turn yields pairwise
+* Seed: the first s,z-path and the candidates come from the graph's
+  view of the terminal pair, built once for all questions on that pair.
+  Each check is one masked sweep of the graph that returns an s,z-path
+  avoiding the removed candidates, so no check rebuilds the graph.
+  Removing each found path's candidates in turn yields pairwise
   disjoint masks, a lower bound on the cut size; more than *h* of them
   answer no at once.  If every seed mask is a single candidate, their
   union is the only cut of that size.
@@ -32,11 +34,15 @@ use candidates, and a subset cuts the graph iff it hits every path mask.
   subsets in lex order.  A mask whose highest bit lies below the index
   just chosen can never be hit again, so each branch loop ends at the
   lowest highest bit among the known masks still unhit, and subtrees are
-  dropped as above.  It starts from every mask learnt so far, learns more
-  the same way, and does not check again the cut the decision confirmed.
+  dropped as above.  The least cut is no greater than the one the
+  decision confirmed, so a prefix already lex-greater than that cut is
+  dropped too, and the search returns that cut, unchecked, when it falls
+  through.  It starts from every mask learnt so far and learns more the
+  same way.
 
 Known masks only grow and every cut hits them, so the pruning drops no
-cut and the first subset the witness search confirms is the
+cut that is lex-less than the confirmed one: the first subset the
+witness search confirms, or else the confirmed cut, is the
 lexicographically least minimum-size witness.  ``budget`` counts every
 search node visited in either phase plus every reachability check after
 the first; :class:`BudgetExceeded` is raised as soon as they exceed it.
@@ -54,14 +60,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    TemporalGraph,
-    _walk_avoiding,
-    check_terminals,
-    earliest_arrival,
-    latest_departure,
-    pair_key,
-)
+from .core import TemporalGraph, _walk_avoiding, check_terminals, pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
 
@@ -88,29 +87,27 @@ class CutResult:
     engine: str
 
 
-def _useful_edges(g: TemporalGraph, s, z) -> list:
-    """Edges that lie on some temporal s,z-walk, hence the only edges a
-    minimal cut can use.
+def _label_candidates(view) -> tuple:
+    """The candidate labels of a pair's view, in increasing order, with
+    each one's snapshot and bit."""
+    cand = tuple(sorted({e.t for e in view.useful}))
+    edges_of = [view.graph.snapshot(t) for t in cand]
+    return cand, edges_of, {c: 1 << i for i, c in enumerate(cand)}
 
-    An edge uv at time t lies on such a walk iff one endpoint is reachable
-    from s by time t and the other can still reach z from time t on.
-    """
-    check_terminals(g, s, z)
-    ea = earliest_arrival(g, s)
-    ld = latest_departure(g, z)
-    useful = []
-    for e in g.edges:
-        for a, b in ((e.u, e.v), (e.v, e.u)):
-            if ea.get(a, math.inf) <= e.t and ld.get(b, -math.inf) >= e.t:
-                useful.append(e)
-                break
-    return useful
+
+def _multiedge_candidates(view) -> tuple:
+    """The candidate multiedges of a pair's view, as canonical vertex pairs
+    in order, with each one's parallel edges and bit."""
+    cand = tuple(sorted({e.pair for e in view.useful}, key=pair_key))
+    edges_of = [view.graph.multiedge(*pair) for pair in cand]
+    return cand, edges_of, {c: 1 << i for i, c in enumerate(cand)}
 
 
 def candidate_labels(g: TemporalGraph, s, z) -> tuple:
     """Labels that can appear on some temporal s,z-walk, hence the only
     labels a minimal cut can use."""
-    return tuple(sorted({e.t for e in _useful_edges(g, s, z)}))
+    check_terminals(g, s, z)
+    return g._pair(s, z).derived(_label_candidates)[0]
 
 
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
@@ -124,8 +121,8 @@ def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
 def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
     """Multiedges (as canonical vertex pairs) that can appear on some
     temporal s,z-walk."""
-    useful = {e.pair for e in _useful_edges(g, s, z)}
-    return tuple(sorted(useful, key=pair_key))
+    check_terminals(g, s, z)
+    return g._pair(s, z).derived(_multiedge_candidates)[0]
 
 
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
@@ -193,8 +190,8 @@ def _branches(n: int, start: int, left: int, remaining: list) -> range:
 
 class _HittingSearch:
     """The state one :func:`_hitting_search` call shares between its
-    phases: the known masks, the budget spent, the distinct subsets
-    reached and the one subset confirmed a cut."""
+    phases: the known masks, the budget spent and the distinct subsets
+    reached."""
 
     def __init__(self, known: list, escape, budget: int):
         self.known = known
@@ -202,7 +199,6 @@ class _HittingSearch:
         self.budget = budget
         self.spent = 0
         self.reached: set = set()
-        self.confirmed: Optional[int] = None
 
     def charge(self) -> None:
         self.spent += 1
@@ -214,15 +210,8 @@ class _HittingSearch:
         self.reached.add(picked)
 
     def check(self, picked: int) -> Optional[int]:
-        """``escape(picked)``, but a subset confirmed a cut once is not
-        checked again."""
-        if picked == self.confirmed:
-            return None
         self.charge()
-        m = self.escape(picked)
-        if m is None:
-            self.confirmed = picked
-        return m
+        return self.escape(picked)
 
     def decide(self, size: int) -> Optional[int]:
         """A cut of at most *size* candidates, or ``None`` when there is
@@ -259,15 +248,18 @@ class _HittingSearch:
                 stack.append([picked, excluded, left - 1, rest, todo])
         return None
 
-    def least(self, n: int, size: int) -> int:
-        """The lexicographically least cut of exactly *size* candidates,
-        when one is known to exist: a depth-first search that picks indices
-        in increasing order, so it meets the subsets in lex order.
+    def least(self, n: int, cut: int) -> int:
+        """The lexicographically least cut of as many candidates as the
+        confirmed *cut*: a depth-first search that picks indices in
+        increasing order, so it meets the subsets in lex order.  A prefix
+        already lex-greater than *cut* is pruned, and so is *cut* itself,
+        which is returned when the search falls through.
         """
+        size = cut.bit_count()
         # the bits picked before each frame's choice
         prefixes = [0]
         # frame: (index iterator, choices left after this one, masks unhit)
-        stack = [(iter(_branches(n, 0, size, self.known)), size - 1, self.known)]
+        stack = [(iter(self._choices(n, 0, size, self.known, 0, cut)), size - 1, self.known)]
         while stack:
             indices, left, remaining = stack[-1]
             i = next(indices, None)
@@ -286,8 +278,22 @@ class _HittingSearch:
                     unhit.append(m)
                 rest = [m]
             prefixes.append(picked)
-            stack.append((iter(_branches(n, i + 1, left, rest)), left - 1, rest))
-        raise AssertionError("a cut of this size was confirmed")
+            stack.append((iter(self._choices(n, i + 1, left, rest, picked, cut)), left - 1, rest))
+        return cut
+
+    @staticmethod
+    def _choices(n: int, start: int, left: int, remaining: list, prefix: int, cut: int) -> range:
+        """:func:`_branches`, less the indices that lead past *cut*.  A
+        *prefix* equal to the bits of *cut* below *start* may pick at most
+        the next index of *cut*, and only indices below it on the last
+        pick, so *cut* itself is never reached.  Any other prefix is
+        already lex-less than *cut*."""
+        choices = _branches(n, start, left, remaining)
+        if prefix != cut & ((1 << start) - 1):
+            return choices
+        ahead = cut >> start
+        nxt = start + (ahead & -ahead).bit_length() - 1
+        return range(choices.start, min(choices.stop, nxt if left == 1 else nxt + 1))
 
 
 def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple:
@@ -320,32 +326,32 @@ def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple
         search.charge()
         return removed, 1
     for size in range(len(known), most + 1):
-        if search.decide(size) is not None:
-            return search.least(n, size), len(search.reached)
+        cut = search.decide(size)
+        if cut is not None:
+            return search.least(n, cut), len(search.reached)
     return None, len(search.reached)
 
 
 def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """The steps all four cut searches share: validate, answer the empty
     cut when *z* is already unreachable, then run the hitting-set search
-    over the candidates.  ``h=None`` asks for a minimum cut.
+    over the candidates.  ``h=None`` asks for a minimum cut.  The first
+    walk and the candidates come from the graph's view of the pair, so
+    only the search itself is repeated when a pair is asked again.
     """
     if h is not None and h < 0:
         raise MalformedInput("cut size bound must be >= 0")
     if budget < 0:
         raise MalformedInput("budget must be at least 0")
     check_terminals(g, s, z)
-    walk = _walk_avoiding(g, s, z)
+    view = g._pair(s, z)
+    walk = view.walk
     if walk is None:
         witness, cand, checked, bound = frozenset(), (), 0, 1
     else:
-        if multiedge:
-            cand = candidate_multiedges(g, s, z)
-            edges_of = [g.multiedge(*pair) for pair in cand]
-        else:
-            cand = candidate_labels(g, s, z)
-            edges_of = [g.snapshot(t) for t in cand]
-        pos = {c: 1 << i for i, c in enumerate(cand)}
+        cand, edges_of, pos = view.derived(
+            _multiedge_candidates if multiedge else _label_candidates
+        )
 
         def mask(path) -> int:
             m = 0

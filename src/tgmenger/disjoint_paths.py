@@ -67,11 +67,39 @@ def check_question(g: TemporalGraph, s, z, k: int, budget: int) -> None:
     check_terminals(g, s, z)
 
 
+def _moves(view) -> tuple:
+    """The tables of the product for a pair's view, the same for every k:
+    its members, their labels, the member index of each token and each
+    member's moves.
+
+    Member 0 is the source token, members 1..m the edges in id order,
+    member m+1 the sink token.  The sentinels' labels, 0 and lifetime + 1,
+    belong to them alone.  A member moves onto the edges that share an
+    endpoint with it and carry no smaller label, in member order; an edge
+    at z also onto the sink.
+    """
+    g, s, z = view.graph, view.s, view.z
+    edges = g.sorted_edges()
+    m = len(edges)
+    members = (SOURCE, *edges, SINK)
+    lam = (0, *(e.t for e in edges), g.lifetime + 1)
+    index = {SOURCE: 0, SINK: m + 1}
+    index.update((e.eid, i) for i, e in enumerate(edges, start=1))
+    succ = [tuple(sorted(index[e.eid] for e in g.incident(s)))]
+    for i, e in enumerate(edges, start=1):
+        near = {index[f.eid] for f in g.incident(e.u) + g.incident(e.v) if f.t >= e.t}
+        near.discard(i)
+        succ.append(tuple(sorted(near)) + ((m + 1,) if e.touches(z) else ()))
+    succ.append(())
+    return members, lam, index, tuple(succ)
+
+
 class ProductDigraph:
     """The k-tuple digraph for one (graph, s, z, k) question.
 
-    Construction validates the inputs and precomputes the per-member move
-    lists; tuples are generated on demand, one unit of *budget* each.
+    Construction validates the inputs and reads the per-member move lists
+    from the graph's view of the terminal pair, built once for every k;
+    tuples are generated on demand, one unit of *budget* each.
     ``explore()`` materializes every ordered tuple reachable from the
     all-source tuple (for inspection); :func:`max_snapshot_disjoint` runs
     the same search over sorted tuples, one per orbit, and stops at the
@@ -86,27 +114,9 @@ class ProductDigraph:
         self.z = z
         self.k = k
         self.budget = budget
-        edges = g.sorted_edges()
-        m = len(edges)
-        self.tuple_bound = (m + 2) ** k
-        # Member 0 is the source token, members 1..m the edges in id order,
-        # member m+1 the sink token.  The sentinels' labels, 0 and
-        # lifetime + 1, belong to them alone.
-        self.members: tuple = (SOURCE, *edges, SINK)
-        self.lam: tuple = (0, *(e.t for e in edges), g.lifetime + 1)
-        self.snk_ix = m + 1
-        self._index = index = {SOURCE: 0, SINK: m + 1}
-        index.update((e.eid, i) for i, e in enumerate(edges, start=1))
-        # A member moves onto the edges that share an endpoint with it and
-        # carry no smaller label, in member order; an edge at z also onto
-        # the sink.
-        succ = [tuple(sorted(index[e.eid] for e in g.incident(s)))]
-        for i, e in enumerate(edges, start=1):
-            near = {index[f.eid] for f in g.incident(e.u) + g.incident(e.v) if f.t >= e.t}
-            near.discard(i)
-            succ.append(tuple(sorted(near)) + ((m + 1,) if e.touches(z) else ()))
-        succ.append(())
-        self.succ: tuple = tuple(succ)
+        self.members, self.lam, self._index, self.succ = g._pair(s, z).derived(_moves)
+        self.snk_ix = len(self.members) - 1
+        self.tuple_bound = (self.snk_ix + 1) ** k
         self.start: tuple = (0,) * k
         self.goal: tuple = (self.snk_ix,) * k
         self.reachable_tuples: Optional[frozenset] = None

@@ -30,7 +30,7 @@ from typing import Optional
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .core import TemporalGraph, TemporalWalk, check_terminals, reachable, token_key
+from .core import TemporalGraph, TemporalWalk, check_terminals, token_key
 from .cuts import is_snapshot_cut
 from .errors import NotInjective
 
@@ -155,8 +155,10 @@ def _shortcut(walk: TemporalWalk) -> TemporalWalk:
 def _max_flow(g: TemporalGraph, s, z) -> tuple:
     """The one flow solve behind both public functions, on terminals the
     caller has checked.  Returns ``(family, network, flow)``, the last two
-    ``None`` when *z* is unreachable and no network is built."""
-    if reachable(g, s, z) is None:
+    ``None`` when *z* is unreachable and no network is built.  That
+    pre-check reads the first walk of the graph's view of the pair: one
+    full forward sweep, shared with every other question on the pair."""
+    if g._pair(s, z).walk is None:
         return (), None, None
     net = _expanded_network(g, s, z)
     value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)

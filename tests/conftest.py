@@ -1,5 +1,6 @@
 """Shared fixtures and seeded instance generators."""
 
+import functools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tgmenger.core import MGraph, TemporalGraph
 from tgmenger.fixtures import demo_network, tight_gap_network, two_route_network
 from tgmenger.gadgets import indep_set_gadget
+from tgmenger.oracles import enumerate_connected_multigraphs
 
 
 @pytest.fixture
@@ -79,3 +81,44 @@ def terminals(g) -> list:
     """All ordered vertex pairs of a graph, deterministically."""
     vs = sorted(g.vertices)
     return [(s, z) for s in vs for z in vs if s != z]
+
+
+@functools.cache
+def all_multigraphs_up_to_iso(max_vertices=5, max_edges=7) -> tuple:
+    """One multigraph per isomorphism class within the size box: the
+    connected enumerations, their isolated-vertex paddings, and all
+    two-component disjoint unions.  Built once per session."""
+    connected = enumerate_connected_multigraphs(max_vertices, max_edges)
+    family = {}
+
+    def add(mg):
+        family.setdefault(mg.canonical_form(), mg)
+
+    def shifted(mg, tag):
+        links = [((tag, u), (tag, v), m) for (u, v), m in mg.links.items()]
+        return links, [(tag, v) for v in mg.vertices]
+
+    for n in range(1, max_vertices + 1):
+        add(MGraph([], vertices=list(range(n))))
+    for mg in connected:
+        add(mg)
+        links = [(u, v, m) for (u, v), m in mg.links.items()]
+        for extra in range(1, max_vertices + 1 - len(mg.vertices)):
+            pads = [f"iso{i}" for i in range(extra)]
+            add(MGraph(links, vertices=list(mg.vertices) + pads))
+    for i, a in enumerate(connected):
+        if len(a.vertices) < 2:
+            continue
+        for b in connected[i:]:
+            if len(b.vertices) < 2:
+                continue
+            nv = len(a.vertices) + len(b.vertices)
+            if nv > max_vertices or a.size() + b.size() > max_edges:
+                continue
+            la, va = shifted(a, "A")
+            lb, vb = shifted(b, "B")
+            add(MGraph(la + lb, vertices=va + vb))
+            for extra in range(1, max_vertices + 1 - nv):
+                pads = [f"iso{i}" for i in range(extra)]
+                add(MGraph(la + lb, vertices=va + vb + pads))
+    return tuple(family.values())

@@ -22,8 +22,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_mgraph, random_temporal_graph, terminals
-from tgmenger.core import MGraph, find_m_topological_minor
+from conftest import all_multigraphs_up_to_iso, random_mgraph, random_temporal_graph, terminals
+from tgmenger.core import find_m_topological_minor
 from tgmenger.cuts import (
     candidate_labels,
     is_multiedge_cut,
@@ -39,7 +39,6 @@ from tgmenger.mengerian import catalog, is_mengerian, recognize, verify_catalog
 from tgmenger.oracles import (
     brute_force_c,
     brute_force_p,
-    enumerate_connected_multigraphs,
     enumerate_simple_graphs,
     find_multicolored_clique,
     find_semantic_violation,
@@ -160,45 +159,6 @@ def test_criterion_5_catalog(capfd):
         assert time.perf_counter() - started < 10.0
 
 
-def _all_multigraphs_up_to_iso(max_vertices=5, max_edges=7):
-    """Connected enumerations, their isolated-vertex paddings, and all
-    two-component disjoint unions within the same size box."""
-    connected = enumerate_connected_multigraphs(max_vertices, max_edges)
-    family = {}
-
-    def add(mg):
-        family.setdefault(mg.canonical_form(), mg)
-
-    def shifted(mg, tag):
-        links = [((tag, u), (tag, v), m) for (u, v), m in mg.links.items()]
-        return links, [(tag, v) for v in mg.vertices]
-
-    for n in range(1, max_vertices + 1):
-        add(MGraph([], vertices=list(range(n))))
-    for mg in connected:
-        add(mg)
-        links = [(u, v, m) for (u, v), m in mg.links.items()]
-        for extra in range(1, max_vertices + 1 - len(mg.vertices)):
-            pads = [f"iso{i}" for i in range(extra)]
-            add(MGraph(links, vertices=list(mg.vertices) + pads))
-    for i, a in enumerate(connected):
-        if len(a.vertices) < 2:
-            continue
-        for b in connected[i:]:
-            if len(b.vertices) < 2:
-                continue
-            nv = len(a.vertices) + len(b.vertices)
-            if nv > max_vertices or a.size() + b.size() > max_edges:
-                continue
-            la, va = shifted(a, "A")
-            lb, vb = shifted(b, "B")
-            add(MGraph(la + lb, vertices=va + vb))
-            for extra in range(1, max_vertices + 1 - nv):
-                pads = [f"iso{i}" for i in range(extra)]
-                add(MGraph(la + lb, vertices=va + vb + pads))
-    return list(family.values())
-
-
 def test_criterion_6_recognition_soundness(capfd):
     text = (
         "recognize == direct minor matching == semantic sweep on all "
@@ -207,7 +167,7 @@ def test_criterion_6_recognition_soundness(capfd):
     with criterion(capfd, 6, text):
         started = time.perf_counter()
         shapes = [entry.shape for entry in catalog()]
-        graphs = _all_multigraphs_up_to_iso()
+        graphs = all_multigraphs_up_to_iso()
         assert len(graphs) > 400
         for mg in graphs:
             verdict = recognize(mg).mengerian

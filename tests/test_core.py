@@ -1,12 +1,14 @@
 """Temporal graph container, walks, traversal, and the multigraph layer."""
 
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mgraph, random_temporal_graph
+from conftest import all_multigraphs_up_to_iso, random_mgraph, random_temporal_graph
 from tgmenger import cuts, oracles
 from tgmenger.core import (
     INF,
@@ -35,6 +37,7 @@ from tgmenger.errors import (
     UnknownVertex,
 )
 from tgmenger.injective_flow import injective_connectivity, max_edge_disjoint_paths
+from tgmenger.mengerian import catalog, catalog_entry
 
 
 def test_token_key_orders_ints_before_strings():
@@ -336,7 +339,42 @@ class TestMinorMatcher:
         assert emb is not None
         assert sorted(len(p) for p in emb.link_paths.values()) == [2, 2, 1499]
 
+    def test_multiplicity_degree_prunes_doubled_path(self):
+        # M1's inner vertices each need two neighbours through doubled
+        # links; a cycle with one doubled link offers at most one.  Without
+        # that check the search took about 10 s at 40 vertices.
+        links = {(i, (i + 1) % 40): 1 for i in range(40)}
+        links[(0, 1)] = 2
+        started = time.perf_counter()
+        assert find_m_topological_minor(MGraph(links), catalog_entry("M1").shape) is None
+        assert time.perf_counter() - started < 1.0
+
     def test_pattern_size_guard(self):
         host = MGraph([(0, 1)])
         with pytest.raises(PatternTooLarge):
             has_m_topological_minor(host, MGraph([(i, i + 1) for i in range(7)]))
+
+
+# sha256 of the first embedding of each catalog shape, recorded before the
+# matcher pruned by multiplicity degree: pruning drops only branches with no
+# embedding and keeps the search order, so the first one found is unchanged.
+EMBEDDING_DIGEST = "a47fb1d422e04057276deb89310b037d1f062caddbe152e721b099356224b1e7"
+
+
+def test_embeddings_match_recorded_digest():
+    """Over criterion 6's multigraphs and the underlying multigraphs of 320
+    criterion-2 graphs (as the benchmark's random corpus draws them)."""
+    shapes = [entry.shape for entry in catalog()]
+    rng = random.Random(170043)
+    hosts = list(all_multigraphs_up_to_iso())
+    hosts += [random_temporal_graph(rng).underlying() for _ in range(320)]
+    digest = hashlib.sha256()
+    for host in hosts:
+        for shape in shapes:
+            emb = find_m_topological_minor(host, shape)
+            key = None if emb is None else (
+                sorted(emb.vertex_map.items(), key=repr),
+                sorted(emb.link_paths.items(), key=repr),
+            )
+            digest.update(repr(key).encode())
+    assert digest.hexdigest() == EMBEDDING_DIGEST

@@ -315,6 +315,29 @@ class TestHittingEngine:
         that the picked bits miss."""
         return lambda picked: next((m for m in order if not m & picked), None)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_witness_search_stops_at_the_confirmed_cut(self, data):
+        # The cut the decision confirmed bounds the witness search: it
+        # visits no prefix lex-greater than that cut, nor the cut itself.
+        n = data.draw(st.integers(1, 10))
+        hidden = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+        escape = self.revealing(data.draw(st.permutations(hidden)))
+        search = cuts._HittingSearch([escape(0)], escape, 10**9)
+        cut = next(c for c in map(search.decide, range(n + 1)) if c is not None)
+        visited = []
+        search.visit = visited.append
+
+        def indices(bits):
+            return [i for i in range(n) if bits >> i & 1]
+
+        witness = search.least(n, cut)
+        for prefix in visited:
+            assert prefix != cut
+            assert indices(prefix) <= indices(cut)[: len(indices(prefix))]
+        size = cut.bit_count()
+        assert frozenset(indices(witness)) == self.brute_force(n, hidden, [size])
+
     def test_distinct_subsets_within_bound(self):
         # Counting every node visit overran the bound on about 1 in 200 of
         # these families.
@@ -386,6 +409,9 @@ def test_min_multiedge_cut_matches_oracle(seed):
 # sha256 of the four cut searches' answers over the corpus below, recorded
 # from the subset-enumeration and path-listing engines this search replaced.
 ANSWER_DIGEST = "5cd1a0c6bf5b6b8e84257a13c248fbf127264fb39af70a169ce50c655e1d96e0"
+# The distinct subsets the searches below reached in all, recorded before
+# the witness search stopped at the decision's cut.  It must not grow.
+SUBSETS_CHECKED = 9078
 
 
 def corpus_answers():
@@ -418,10 +444,13 @@ def corpus_answers():
 
 def test_answers_match_recorded_digest():
     digest = hashlib.sha256()
+    checked = 0
     for key, res in corpus_answers():
         digest.update(repr(key).encode())
         assert res.subsets_checked <= res.subset_bound
+        checked += res.subsets_checked
     assert digest.hexdigest() == ANSWER_DIGEST
+    assert checked <= SUBSETS_CHECKED
 
 
 @settings(max_examples=60, deadline=None)
