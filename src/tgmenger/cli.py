@@ -1,13 +1,18 @@
 """Command line front end.
 
 Every decision subcommand exits 0 for *yes* and 1 for *no*; malformed
-input exits 2 and a blown search budget exits 3.  Any other error is
-printed as ``error: ...`` on stderr and exits 4, so a crash is never
-mistaken for an answer.  A reader that closes standard output early (as
-``| head`` does) gets exit 141, the status of a process killed by
-SIGPIPE, and no error line.  ``--report FILE`` dumps a machine-readable
-record of the run (instance, question, answer, witness, wall time, work
-counters) next to the human-readable output.
+input, which includes a file that cannot be read or written, exits 2 and
+a blown search budget exits 3.  Any other error is printed as
+``error: ...`` on stderr and exits 4, so a crash is never mistaken for an
+answer.  A reader that closes standard output early (as ``| head`` does)
+gets exit 141, the status of a process killed by SIGPIPE, and no error
+line.
+
+``--report FILE`` writes a JSON record of the run next to the
+human-readable output, with the same six keys from every subcommand:
+``instance``, ``question``, ``answer``, ``witness``, ``elapsed`` (seconds
+spent in the solver, or in building the gadget) and ``budget_used`` (the
+work counters of ``paths``, ``cut`` and ``mcut``; empty elsewhere).
 
 The ``--graph`` argument takes either a path (JSON document or
 whitespace edge list, sniffed) or the name of a bundled fixture such as
@@ -22,6 +27,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import cuts, disjoint_paths, formats, gadgets, injective_flow, oracles
 from .core import pair_key
@@ -53,12 +59,54 @@ def _load_instance(args, terminals: bool = True) -> tuple:
     return g, formats._token(given_s), formats._token(given_z), name
 
 
-def _write_report(path, doc: dict) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+def _timed(solve, *args, **kwargs) -> tuple:
+    """``(solve(*args, **kwargs), seconds it took)``."""
+    started = time.perf_counter()
+    return solve(*args, **kwargs), time.perf_counter() - started
+
+
+def _write_file(path, text: str) -> None:
+    """Write *text* to *path*; an unwritable path is malformed input, as an
+    unreadable one is."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from None
+
+
+def _write_json(path, doc: dict) -> None:
+    _write_file(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+
+
+def _write_report(
+    path, instance, question, answer, witness, elapsed, budget_used=None
+) -> None:
+    """Write the run record to *path* (``--report``), if one was given."""
+    if path is not None:
+        _write_json(path, {
+            "instance": instance, "question": question, "answer": answer,
+            "witness": witness, "elapsed": elapsed, "budget_used": budget_used or {},
+        })
+
+
+def _show_walks(walks) -> list:
+    """Print a walk family, one walk a line; return its report form."""
+    for walk in walks:
+        print(f"  {walk.pretty()}")
+    return [formats.walk_document(w) for w in walks]
+
+
+def _show_cut(kind: str, cut) -> list:
+    """Print a ``"snapshot"`` or ``"multiedge"`` cut unless it is empty;
+    return its report form, sorted."""
+    if kind == "snapshot":
+        witness = sorted(cut)
+    else:
+        witness = [list(p) for p in sorted(cut, key=pair_key)]
+    if witness:
+        print(f"  remove {kind}s {witness}")
+    return witness
 
 
 def _yesno(flag: bool) -> str:
@@ -89,141 +137,87 @@ def cmd_paths(args) -> int:
         f"searching tuples over {m} edges: at most ({m}+2)^{args.k} = {bound} "
         f"(budget {args.budget})"
     )
-    started = time.perf_counter()
-    res = disjoint_paths.max_snapshot_disjoint(g, s, z, args.k, budget=args.budget)
-    elapsed = time.perf_counter() - started
+    res, elapsed = _timed(
+        disjoint_paths.max_snapshot_disjoint, g, s, z, args.k, budget=args.budget
+    )
     print(f"{args.k} snapshot-disjoint {s}-{z} paths: {_yesno(res.found)}")
-    for walk in res.family:
-        print(f"  {walk.pretty()}")
+    witness = _show_walks(res.family)
     print(
         f"visited {res.tuples_materialized} tuples, {res.arcs_explored} arcs, "
         f"{elapsed:.3f}s"
     )
     _write_report(
-        args.report,
+        args.report, name,
+        f"are there {args.k} pairwise snapshot-disjoint temporal paths from {s} to {z}?",
+        res.found, witness, elapsed,
         {
-            "instance": name,
-            "question": f"are there {args.k} pairwise snapshot-disjoint "
-            f"temporal paths from {s} to {z}?",
-            "answer": res.found,
-            "witness": [formats.walk_document(w) for w in res.family],
-            "elapsed": elapsed,
-            "budget_used": {
-                "tuple_bound": bound,
-                "tuples_materialized": res.tuples_materialized,
-                "arcs_explored": res.arcs_explored,
-                "budget": args.budget,
-            },
+            "tuple_bound": bound,
+            "tuples_materialized": res.tuples_materialized,
+            "arcs_explored": res.arcs_explored,
+            "budget": args.budget,
         },
     )
     return 0 if res.found else 1
 
 
 def _cut_command(args, kind: str) -> int:
+    """``cut`` (*kind* ``"snapshot"``) and ``mcut`` (``"multiedge"``)."""
     g, s, z, name = _load_instance(args)
-    if kind == "snapshot":
-        run = cuts.snapshot_cut_at_most
-        noun = "snapshots"
-    else:
-        run = cuts.multiedge_cut_at_most
-        noun = "multiedges"
-    started = time.perf_counter()
-    res = run(g, s, z, args.k, budget=args.budget)
-    elapsed = time.perf_counter() - started
+    # Looked up at call time, so a test can stand in for the solver.
+    run = getattr(cuts, f"{kind}_cut_at_most")
+    res, elapsed = _timed(run, g, s, z, args.k, budget=args.budget)
     print(
-        f"{len(res.candidates)} candidate {noun}; checking at most "
+        f"{len(res.candidates)} candidate {kind}s; checking at most "
         f"{res.subset_bound} subsets (budget {args.budget})"
     )
     print(f"{kind} cut of size <= {args.k}: {_yesno(res.found)}")
     witness = None
     if res.found:
-        if kind == "snapshot":
-            witness = sorted(res.labels)
-            if witness:
-                print(f"  remove snapshots {witness}")
-        else:
-            witness = [list(p) for p in sorted(res.multiedges, key=pair_key)]
-            if witness:
-                print(f"  remove multiedges {witness}")
+        # The other kind's field is None.
+        witness = _show_cut(kind, res.multiedges if res.labels is None else res.labels)
     print(f"engine {res.engine}, {res.subsets_checked} distinct subsets searched, {elapsed:.3f}s")
     _write_report(
-        args.report,
+        args.report, name,
+        f"is there a {kind} cut of size at most {args.k} between {s} and {z}?",
+        res.found, witness, elapsed,
         {
-            "instance": name,
-            "question": f"is there a {kind} cut of size at most {args.k} "
-            f"between {s} and {z}?",
-            "answer": res.found,
-            "witness": witness,
-            "elapsed": elapsed,
-            "budget_used": {
-                "engine": res.engine,
-                "candidates": len(res.candidates),
-                "subsets_checked": res.subsets_checked,
-                "subset_bound": res.subset_bound,
-                "budget": args.budget,
-            },
+            "engine": res.engine,
+            "candidates": len(res.candidates),
+            "subsets_checked": res.subsets_checked,
+            "subset_bound": res.subset_bound,
+            "budget": args.budget,
         },
     )
     return 0 if res.found else 1
-
-
-def cmd_cut(args) -> int:
-    return _cut_command(args, "snapshot")
-
-
-def cmd_mcut(args) -> int:
-    return _cut_command(args, "multiedge")
 
 
 def cmd_flow(args) -> int:
     if args.k is not None and args.k < 1:
         raise MalformedInput("k must be at least 1")
     g, s, z, name = _load_instance(args)
-    started = time.perf_counter()
     if args.edge_disjoint:
-        res = injective_flow.max_edge_disjoint_paths(g, s, z)
+        res, elapsed = _timed(injective_flow.max_edge_disjoint_paths, g, s, z)
         question = f"maximum edge-disjoint temporal {s}-{z} paths"
-        extra: dict = {}
     else:
-        res = injective_flow.injective_connectivity(g, s, z)
+        res, elapsed = _timed(injective_flow.injective_connectivity, g, s, z)
         question = f"snapshot-disjoint {s}-{z} packing on an injective instance"
-        extra = {"min_cut_labels": sorted(res.cut_labels)}
-    elapsed = time.perf_counter() - started
     print(f"{question}: {res.value}")
-    for walk in res.family:
-        print(f"  {walk.pretty()}")
-    if extra:
-        print(f"  minimum snapshot cut: {extra['min_cut_labels']}")
+    witness = {"value": res.value, "family": _show_walks(res.family)}
+    if not args.edge_disjoint:
+        witness["min_cut_labels"] = sorted(res.cut_labels)
+        print(f"  minimum snapshot cut: {witness['min_cut_labels']}")
     answer: object = res.value
-    code = 0
     if args.k is not None:
-        code = 0 if res.value >= args.k else 1
         answer = res.value >= args.k
         question += f" >= {args.k}?"
-    _write_report(
-        args.report,
-        {
-            "instance": name,
-            "question": question,
-            "answer": answer,
-            "witness": {
-                "value": res.value,
-                "family": [formats.walk_document(w) for w in res.family],
-                **extra,
-            },
-            "elapsed": elapsed,
-            "budget_used": {},
-        },
-    )
-    return code
+    _write_report(args.report, name, question, answer, witness, elapsed)
+    return 0 if args.k is None or answer else 1
 
 
 def cmd_mengerian(args) -> int:
     g, _, _, name = _load_instance(args, terminals=False)
     mg = g.underlying()
-    started = time.perf_counter()
-    verdict = recognize(mg)
-    elapsed = time.perf_counter() - started
+    verdict, elapsed = _timed(recognize, mg)
     print(f"mengerian: {_yesno(verdict.mengerian)}")
     witness_doc = None
     if not verdict.mengerian:
@@ -242,8 +236,8 @@ def cmd_mengerian(args) -> int:
         if args.witness_dot:
             base, bs, bz = bad_labeling_for(mg, w)
             full = extend_bad_labeling(mg, base, bs, bz)
-            with open(args.witness_dot, "w", encoding="utf-8") as fh:
-                fh.write(formats.to_dot(full, name=f"bad labeling {bs}->{bz}"))
+            dot = formats.to_dot(full, name=f"bad labeling {bs}->{bz}")
+            _write_file(args.witness_dot, dot)
             print(
                 f"  wrote a full bad timefunction (terminals {bs}, {bz}) "
                 f"to {args.witness_dot}"
@@ -251,16 +245,9 @@ def cmd_mengerian(args) -> int:
             witness_doc["bad_labeling"] = formats.graph_to_document(full)
             witness_doc["terminals"] = [bs, bz]
     _write_report(
-        args.report,
-        {
-            "instance": name,
-            "question": "does packing equal covering under every timefunction "
-            "on the underlying multigraph?",
-            "answer": verdict.mengerian,
-            "witness": witness_doc,
-            "elapsed": elapsed,
-            "budget_used": {},
-        },
+        args.report, name,
+        "does packing equal covering under every timefunction on the underlying multigraph?",
+        verdict.mengerian, witness_doc, elapsed,
     )
     return 0 if verdict.mengerian else 1
 
@@ -276,30 +263,17 @@ _ORACLES = {
 
 def cmd_oracle(args) -> int:
     g, s, z, name = _load_instance(args)
-    started = time.perf_counter()
-    result = _ORACLES[args.what](g, s, z)
-    elapsed = time.perf_counter() - started
+    result, elapsed = _timed(_ORACLES[args.what], g, s, z)
     print(f"{args.what} = {result.value}  (exhaustive)")
-    if args.what in ("packing", "edge-disjoint", "multiedge-disjoint"):
-        witness: object = [formats.walk_document(w) for w in result.witness]
-        for walk in result.witness:
-            print(f"  {walk.pretty()}")
-    elif args.what == "cut":
-        witness = sorted(result.witness)
-        print(f"  remove snapshots {witness}")
+    if args.what == "cut":
+        witness = _show_cut("snapshot", result.witness)
+    elif args.what == "multiedge-cut":
+        witness = _show_cut("multiedge", result.witness)
     else:
-        witness = [list(p) for p in sorted(result.witness, key=pair_key)]
-        print(f"  remove multiedges {witness}")
+        witness = _show_walks(result.witness)
     _write_report(
-        args.report,
-        {
-            "instance": name,
-            "question": f"brute-force {args.what} between {s} and {z}",
-            "answer": result.value,
-            "witness": witness,
-            "elapsed": elapsed,
-            "budget_used": {},
-        },
+        args.report, name, f"brute-force {args.what} between {s} and {z}",
+        result.value, witness, elapsed,
     )
     return 0
 
@@ -319,44 +293,30 @@ def _load_source_document(path) -> dict:
 
 def cmd_gadget(args) -> int:
     doc = _load_source_document(args.source)
-    vertices = doc["vertices"]
-    edges = doc["edges"]
-    if args.kind == "indep-set":
-        instance = gadgets.indep_set_gadget(vertices, edges)
-    elif args.kind == "vertex-cover":
-        instance = gadgets.vc_gadget(vertices, edges)
-    else:
+    if args.kind == "clique":
         colors = doc.get("colors")
         if not isinstance(colors, dict):
             raise MalformedInput("clique sources need a 'colors' object")
         coloring = {formats._token(k): v for k, v in colors.items()}
-        instance = gadgets.clique_gadget(vertices, edges, coloring)
-    formats.save_graph(args.out, instance.graph)
-    manifest_path = (
-        args.out[: -len(".json")] if args.out.endswith(".json") else args.out
-    ) + ".manifest.json"
-    manifest = {
-        "s": instance.s,
-        "z": instance.z,
-        "question": instance.question,
+        build = partial(gadgets.clique_gadget, coloring=coloring)
+    elif args.kind == "indep-set":
+        build = gadgets.indep_set_gadget
+    else:
+        build = gadgets.vc_gadget
+    # The build runs the exponential ground-truth solvers for the manifest.
+    instance, elapsed = _timed(build, doc["vertices"], doc["edges"])
+    _write_file(args.out, formats.dumps_graph(instance.graph))
+    manifest_path = args.out.removesuffix(".json") + ".manifest.json"
+    _write_json(manifest_path, {
+        "s": instance.s, "z": instance.z, "question": instance.question,
         **instance.manifest,
-    }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    })
     print(f"wrote {args.out} and {manifest_path}")
     print(f"terminals: {instance.s} -> {instance.z}")
     print(f"question: {instance.question}")
     _write_report(
-        args.report,
-        {
-            "instance": args.source,
-            "question": instance.question,
-            "answer": None,
-            "witness": {"out": args.out, "manifest": manifest_path},
-            "elapsed": 0.0,
-            "budget_used": {},
-        },
+        args.report, args.source, instance.question, None,
+        {"out": args.out, "manifest": manifest_path}, elapsed,
     )
     return 0
 
@@ -380,8 +340,7 @@ def cmd_export_dot(args) -> int:
                     ) from None
         text = formats.to_dot(g, name=name, highlight_labels=hot)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -422,17 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.set_defaults(run=cmd_paths)
 
-    p = sub.add_parser("cut", help="decide a snapshot cut of size <= k")
-    _add_instance_args(p)
-    p.add_argument("-k", type=int, required=True, help="cut size bound")
-    _add_budget_args(p)
-    p.set_defaults(run=cmd_cut)
-
-    p = sub.add_parser("mcut", help="decide a multiedge cut of size <= k")
-    _add_instance_args(p)
-    p.add_argument("-k", type=int, required=True, help="cut size bound")
-    _add_budget_args(p)
-    p.set_defaults(run=cmd_mcut)
+    for command, kind in (("cut", "snapshot"), ("mcut", "multiedge")):
+        p = sub.add_parser(command, help=f"decide a {kind} cut of size <= k")
+        _add_instance_args(p)
+        p.add_argument("-k", type=int, required=True, help="cut size bound")
+        _add_budget_args(p)
+        p.set_defaults(run=partial(_cut_command, kind=kind))
 
     p = sub.add_parser(
         "flow",
