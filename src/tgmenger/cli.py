@@ -116,14 +116,13 @@ def _yesno(flag: bool) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _power(base: int, exp: int):
-    """``base ** exp``, or the text ``"base^exp"`` when the power has more
-    digits than Python converts to decimal (``sys.get_int_max_str_digits``)."""
-    value = base**exp
+def _printable(value: int, text: str):
+    """*value*, or *text* (the formula for it) when *value* has more digits
+    than Python converts to decimal (``sys.get_int_max_str_digits``)."""
     try:
         str(value)
     except ValueError:
-        return f"{base}^{exp}"
+        return text
     return value
 
 
@@ -132,7 +131,7 @@ def cmd_paths(args) -> int:
     # Malformed input prints no bound line.
     disjoint_paths.check_question(g, s, z, args.k, args.budget)
     m = len(g.edges)
-    bound = _power(m + 2, args.k)
+    bound = _printable((m + 2) ** args.k, f"{m + 2}^{args.k}")
     print(
         f"searching tuples over {m} edges: at most ({m}+2)^{args.k} = {bound} "
         f"(budget {args.budget})"
@@ -166,10 +165,9 @@ def _cut_command(args, kind: str) -> int:
     # Looked up at call time, so a test can stand in for the solver.
     run = getattr(cuts, f"{kind}_cut_at_most")
     res, elapsed = _timed(run, g, s, z, args.k, budget=args.budget)
-    print(
-        f"{len(res.candidates)} candidate {kind}s; checking at most "
-        f"{res.subset_bound} subsets (budget {args.budget})"
-    )
+    n = len(res.candidates)
+    bound = _printable(res.subset_bound, f"sum_{{i<={args.k}}} C({n}, i)")
+    print(f"{n} candidate {kind}s; checking at most {bound} subsets (budget {args.budget})")
     print(f"{kind} cut of size <= {args.k}: {_yesno(res.found)}")
     witness = None
     if res.found:
@@ -182,9 +180,9 @@ def _cut_command(args, kind: str) -> int:
         res.found, witness, elapsed,
         {
             "engine": res.engine,
-            "candidates": len(res.candidates),
+            "candidates": n,
             "subsets_checked": res.subsets_checked,
-            "subset_bound": res.subset_bound,
+            "subset_bound": bound,
             "budget": args.budget,
         },
     )

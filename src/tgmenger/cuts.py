@@ -29,20 +29,19 @@ use candidates, and a subset cuts the graph iff it hits every path mask.
   every known mask is checked; if it is no cut, the check's path gives a
   new mask that misses the subset and all its ancestors, so every open
   node learns it and the search goes on from the same node.
-* Witness: only on a yes, a depth-first search at exactly that minimum
-  size picks candidate indices in increasing order, so it meets the
-  subsets in lex order.  A mask whose highest bit lies below the index
-  just chosen can never be hit again, so each branch loop ends at the
-  lowest highest bit among the known masks still unhit, and subtrees are
-  dropped as above.  The least cut is no greater than the one the
-  decision confirmed, so a prefix already lex-greater than that cut is
-  dropped too, and the search returns that cut, unchecked, when it falls
-  through.  It starts from every mask learnt so far and learns more the
-  same way.
+* Witness: only on a yes, by self-reduction at exactly that minimum
+  size.  The candidate indices are taken in increasing order: each joins
+  the prefix when some cut of that size holds the prefix and it but no
+  index ruled out before, and is ruled out otherwise.  Each question is
+  one decision search started from the prefix and the index as picked
+  bits and the ruled-out indices as excluded ones, and a yes becomes the
+  confirmed cut.  The confirmed cut holds the prefix and no ruled-out
+  index, so its next index joins without a question.  Every question
+  starts from all the masks learnt so far and learns more the same way.
 
-Known masks only grow and every cut hits them, so the pruning drops no
-cut that is lex-less than the confirmed one: the first subset the
-witness search confirms, or else the confirmed cut, is the
+The prefix is always the least cut's indices below the current one: an
+index that cut holds is confirmed, and a cut holding any other index
+would be lex-less than it.  So the prefix grows into the
 lexicographically least minimum-size witness.  ``budget`` counts every
 search node visited in either phase plus every reachability check after
 the first; :class:`BudgetExceeded` is raised as soon as they exceed it.
@@ -135,7 +134,13 @@ def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
 
 
 def _subset_bound(n: int, h: int) -> int:
-    return sum(math.comb(n, i) for i in range(min(n, h) + 1))
+    """The number of subsets of at most *h* of *n* candidates, each term
+    built from the one before: C(n, i+1) = C(n, i)(n-i)/(i+1)."""
+    total = term = 1
+    for i in range(min(n, h)):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
 
 
 # -- the lazy hitting-set engine -----------------------------------------------
@@ -170,24 +175,6 @@ def _branch_bits(unhit: list, excluded: int, left: int) -> int:
     return best
 
 
-def _branches(n: int, start: int, left: int, remaining: list) -> range:
-    """Candidate indices worth trying next, once indices below *start* are
-    settled and *left* more may be chosen to hit the *remaining* masks.
-
-    Every later choice has an index at least the current one, so choosing
-    index ``i`` or beyond leaves unhit, for good, each mask whose highest
-    bit lies below ``i``: the loop stops at the lowest such highest bit.
-    The subtree is empty, too, when more than *left* of the remaining
-    masks have pairwise disjoint live bits (bits at or above *start*).
-    """
-    # A smaller positive int never has a longer bit length, so the least
-    # mask has the lowest highest bit.
-    stop = min(n - left + 1, min(remaining).bit_length())
-    if stop <= start or not _branch_bits(remaining, (1 << start) - 1, left):
-        return range(0)
-    return range(start, stop)
-
-
 class _HittingSearch:
     """The state one :func:`_hitting_search` call shares between its
     phases: the known masks, the budget spent and the distinct subsets
@@ -213,15 +200,25 @@ class _HittingSearch:
         self.charge()
         return self.escape(picked)
 
-    def decide(self, size: int) -> Optional[int]:
-        """A cut of at most *size* candidates, or ``None`` when there is
-        none: a bounded search tree that branches on the bits of the unhit
-        mask with the fewest live bits.  Child j picks bit b_j and
-        excludes b_1..b_{j-1}, so no subset is reached twice.
+    def decide(self, size: int, picked: int = 0, excluded: int = 0) -> Optional[int]:
+        """A cut of at most *size* candidates that holds the *picked* bits
+        and none of the *excluded* ones, or ``None`` when there is none: a
+        bounded search tree that branches on the bits of the unhit mask
+        with the fewest live bits.  Child j picks bit b_j and excludes
+        b_1..b_{j-1}, so no subset is reached twice.
         """
         known = self.known
+        unhit = [m for m in known if not m & picked]
+        if not unhit:
+            self.visit(picked)
+            m = self.check(picked)
+            if m is None:
+                return picked
+            known.append(m)
+            unhit = [m]
+        left = size - picked.bit_count()
         # frame: [picked, excluded, picks left, masks unhit, bits to try]
-        stack = [[0, 0, size, known, _branch_bits(known, 0, size)]]
+        stack = [[picked, excluded, left, unhit, _branch_bits(unhit, excluded, left)]]
         while stack:
             frame = stack[-1]
             picked, excluded, left, unhit, todo = frame
@@ -239,7 +236,8 @@ class _HittingSearch:
                 if m is None:
                     return picked
                 # The path misses every ancestor's picked bits too, so every
-                # open frame learns its mask; the root's list is *known*.
+                # open frame learns its mask, and so do later questions.
+                known.append(m)
                 for f in stack:
                     f[3].append(m)
                 rest = [m]
@@ -250,50 +248,25 @@ class _HittingSearch:
 
     def least(self, n: int, cut: int) -> int:
         """The lexicographically least cut of as many candidates as the
-        confirmed *cut*: a depth-first search that picks indices in
-        increasing order, so it meets the subsets in lex order.  A prefix
-        already lex-greater than *cut* is pruned, and so is *cut* itself,
-        which is returned when the search falls through.
+        confirmed *cut*, by self-reduction: each index in increasing order
+        joins the prefix when some such cut holds the prefix and it but no
+        index ruled out before, and is ruled out otherwise.  The last cut
+        confirmed holds the prefix, so its next index is fixed unasked.
         """
         size = cut.bit_count()
-        # the bits picked before each frame's choice
-        prefixes = [0]
-        # frame: (index iterator, choices left after this one, masks unhit)
-        stack = [(iter(self._choices(n, 0, size, self.known, 0, cut)), size - 1, self.known)]
-        while stack:
-            indices, left, remaining = stack[-1]
-            i = next(indices, None)
-            if i is None:
-                stack.pop()
-                prefixes.pop()
-                continue
-            picked = prefixes[-1] | 1 << i
-            self.visit(picked)
-            rest = [m for m in remaining if not m & picked]
-            if not rest:
-                m = self.check(picked)
-                if m is None:
-                    return picked
-                for _, _, unhit in stack:
-                    unhit.append(m)
-                rest = [m]
-            prefixes.append(picked)
-            stack.append((iter(self._choices(n, i + 1, left, rest, picked, cut)), left - 1, rest))
+        prefix = ruled = 0
+        for i in range(n):
+            if prefix == cut:
+                break
+            bit = 1 << i
+            ahead = cut & ~prefix
+            if ahead & -ahead == bit:
+                prefix |= bit
+            elif (found := self.decide(size, prefix | bit, ruled)) is None:
+                ruled |= bit
+            else:
+                prefix, cut = prefix | bit, found
         return cut
-
-    @staticmethod
-    def _choices(n: int, start: int, left: int, remaining: list, prefix: int, cut: int) -> range:
-        """:func:`_branches`, less the indices that lead past *cut*.  A
-        *prefix* equal to the bits of *cut* below *start* may pick at most
-        the next index of *cut*, and only indices below it on the last
-        pick, so *cut* itself is never reached.  Any other prefix is
-        already lex-less than *cut*."""
-        choices = _branches(n, start, left, remaining)
-        if prefix != cut & ((1 << start) - 1):
-            return choices
-        ahead = cut >> start
-        nxt = start + (ahead & -ahead).bit_length() - 1
-        return range(choices.start, min(choices.stop, nxt if left == 1 else nxt + 1))
 
 
 def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple:
@@ -307,8 +280,9 @@ def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple
     search node visited and each call of *escape* costs one unit, and
     :class:`BudgetExceeded` is raised once more than *budget* are spent.
     The count of distinct subsets is at most ``_subset_bound(n, most)``.
-    Both phases keep an explicit stack, so a cut of any size cannot
-    exhaust the interpreter's recursion limit.
+    Each decision keeps an explicit stack and the witness phase is a loop
+    of decisions, so a cut of any size cannot exhaust the interpreter's
+    recursion limit.
     """
     search = _HittingSearch([first], escape, budget)
     known = search.known

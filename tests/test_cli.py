@@ -128,6 +128,25 @@ class TestCuts:
         assert code == 0
         assert "4 candidate snapshots; checking at most 11 subsets" in out
 
+    def test_bound_too_long_for_decimal(self, capsys, tmp_path):
+        # 15,001 candidate labels at h = 7,500: the subset count has more
+        # digits than Python converts to text, so the bound is printed and
+        # reported as its formula.
+        path = tmp_path / "wide.edges"
+        path.write_text("".join(f"s a {t}\n" for t in range(1, 15001)) + "a z 15001\n")
+        report = tmp_path / "cut.json"
+        code, out, _ = run(
+            capsys, "cut", "-g", str(path), "-s", "s", "-z", "z", "-k", "7500",
+            "--report", str(report),
+        )
+        assert code == 0
+        assert "checking at most sum_{i<=7500} C(15001, i) subsets (budget" in out
+        assert "snapshot cut of size <= 7500: yes" in out
+        assert "remove snapshots [15001]" in out
+        doc = json.loads(report.read_text())
+        assert doc["witness"] == [15001]
+        assert doc["budget_used"]["subset_bound"] == "sum_{i<=7500} C(15001, i)"
+
     def test_long_path(self, capsys, tmp_path):
         path = tmp_path / "path.edges"
         path.write_text("".join(f"{i} {i + 1} {i + 1}\n" for i in range(1200)))

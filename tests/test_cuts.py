@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from functools import partial
@@ -162,7 +163,8 @@ class TestSnapshotCut:
         assert cuts._subset_bound(5, 2) == 1 + 5 + 10
         assert cuts._subset_bound(3, 7) == 8
         assert cuts._subset_bound(0, 2) == 1
-
+        for n, h in ((55, 12), (40, 7), (2000, 1000), (301, 300), (9, 9)):
+            assert cuts._subset_bound(n, h) == sum(math.comb(n, i) for i in range(h + 1))
 
     def test_long_path_does_not_recurse(self):
         g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])
@@ -318,8 +320,10 @@ class TestHittingEngine:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_witness_search_stops_at_the_confirmed_cut(self, data):
-        # The cut the decision confirmed bounds the witness search: it
-        # visits no prefix lex-greater than that cut, nor the cut itself.
+        # The cut the decision confirmed bounds the witness search: every
+        # subset a question reaches holds the prefix plus an index below
+        # the confirmed cut's next one, so none is lex-greater than that
+        # cut, nor the cut itself.
         n = data.draw(st.integers(1, 10))
         hidden = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
         escape = self.revealing(data.draw(st.permutations(hidden)))
@@ -365,6 +369,26 @@ class TestHittingEngine:
         res = cuts.multiedge_cut_at_most(inst.graph, inst.s, inst.z, 8)
         assert not res.found and res.engine == "hitting"
         assert res.subsets_checked <= 30_000
+
+    @staticmethod
+    def clique_cover_witness(k):
+        """The witness the lexicographic witness search returned on the
+        K_k vertex-cover gadget at h = n + tau = 2k - 1."""
+        return frozenset(
+            {("0+1", "0.1"), ("0.2", "0.3"), ("1.2", "1.3")}
+            | {(f"{v}.1", f"{v}.2") for v in range(2, k)}
+            | {(f"{v}.4", "z") for v in range(2, k)}
+        )
+
+    @pytest.mark.parametrize("k, most, budget", [(6, 5_000, 10**7), (7, 10_000, 100_000)])
+    def test_witness_phase_work(self, k, most, budget):
+        # The witness takes at most one decision per candidate.  The
+        # lexicographic search it replaced reached 197,214 subsets on K6,
+        # and on K7 it reached 3,344,247, past this budget.
+        inst = vc_gadget(range(k), list(itertools.combinations(range(k), 2)))
+        res = cuts.multiedge_cut_at_most(inst.graph, inst.s, inst.z, 2 * k - 1, budget=budget)
+        assert res.multiedges == self.clique_cover_witness(k)
+        assert res.subsets_checked <= most
 
 
 @settings(max_examples=60, deadline=None)
