@@ -65,18 +65,8 @@ def _timed(solve, *args, **kwargs) -> tuple:
     return solve(*args, **kwargs), time.perf_counter() - started
 
 
-def _write_file(path, text: str) -> None:
-    """Write *text* to *path*; an unwritable path is malformed input, as an
-    unreadable one is."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise MalformedInput(f"cannot write {path}: {exc}") from None
-
-
 def _write_json(path, doc: dict) -> None:
-    _write_file(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    formats.write_file(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _write_report(
@@ -235,7 +225,7 @@ def cmd_mengerian(args) -> int:
             base, bs, bz = bad_labeling_for(mg, w)
             full = extend_bad_labeling(mg, base, bs, bz)
             dot = formats.to_dot(full, name=f"bad labeling {bs}->{bz}")
-            _write_file(args.witness_dot, dot)
+            formats.write_file(args.witness_dot, dot)
             print(
                 f"  wrote a full bad timefunction (terminals {bs}, {bz}) "
                 f"to {args.witness_dot}"
@@ -277,13 +267,7 @@ def cmd_oracle(args) -> int:
 
 
 def _load_source_document(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"bad JSON in {path}: {exc}") from None
+    doc = formats.loads_json(formats.read_file(path))
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise MalformedInput("source document needs 'vertices' and 'edges'")
     return doc
@@ -303,7 +287,7 @@ def cmd_gadget(args) -> int:
         build = gadgets.vc_gadget
     # The build runs the exponential ground-truth solvers for the manifest.
     instance, elapsed = _timed(build, doc["vertices"], doc["edges"])
-    _write_file(args.out, formats.dumps_graph(instance.graph))
+    formats.save_graph(args.out, instance.graph)
     manifest_path = args.out.removesuffix(".json") + ".manifest.json"
     _write_json(manifest_path, {
         "s": instance.s, "z": instance.z, "question": instance.question,
@@ -338,7 +322,7 @@ def cmd_export_dot(args) -> int:
                     ) from None
         text = formats.to_dot(g, name=name, highlight_labels=hot)
     if args.out:
-        _write_file(args.out, text)
+        formats.write_file(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -8,6 +8,8 @@ Two interchange formats are supported:
   that preserves edge ids and isolated vertices.
 
 Plus a one-way Graphviz DOT export for eyeballing instances and witnesses.
+Files are read by :func:`read_file` and written by :func:`write_file`, so
+a path that cannot be read or written is malformed input.
 """
 
 from __future__ import annotations
@@ -102,21 +104,40 @@ def dumps_graph(g: TemporalGraph) -> str:
     return json.dumps(graph_to_document(g), indent=2, sort_keys=True) + "\n"
 
 
-def loads_graph(text: str) -> TemporalGraph:
+def read_file(path) -> str:
+    """The text of the file at *path*; an unreadable file is malformed input."""
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from None
+
+
+def write_file(path, text: str) -> None:
+    """Write *text* to the file at *path*; an unwritable path is malformed
+    input, as an unreadable one is."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from None
+
+
+def loads_json(text: str):
+    """The JSON document in *text*; bad JSON is malformed input."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"bad JSON: {exc}") from None
-    return document_to_graph(doc)
+
+
+def loads_graph(text: str) -> TemporalGraph:
+    return document_to_graph(loads_json(text))
 
 
 def load_graph(path) -> TemporalGraph:
     """Load a graph file, sniffing the format (JSON object vs edge list)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from None
+    text = read_file(path)
     if text.lstrip().startswith("{"):
         return loads_graph(text)
     return parse_edge_list(text)
@@ -129,8 +150,7 @@ def save_graph(path, g: TemporalGraph, fmt: str = "json") -> None:
         text = format_edge_list(g)
     else:
         raise MalformedInput(f"unknown graph format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_file(path, text)
 
 
 def walk_document(walk: TemporalWalk) -> dict:

@@ -13,11 +13,20 @@ short checklist over the block decomposition of the underlying graph:
 4. a cycle on >= 4 vertices with a doubled link             -> M4
 5. a 4-vertex path of doubled links                         -> M1
 
-``recognize`` runs the checklist and, on rejection, returns an explicit
-embedding of the matching shape; ``bad_labeling_for`` then lifts the
-shape's stored bad timefunction through the embedding, producing a
-concrete instance where packing < covering, and ``extend_bad_labeling``
-stretches it to a full supergraph labeling without closing the gap.
+``recognize`` runs the checklist on the multigraph itself, one connected
+component at a time.  The blocks come from one lowpoint search (Hopcroft
+and Tarjan, CACM 1973); every cycle and path of a witness comes from one
+breadth-first search in token order, so witnesses never depend on the
+string-hash seed.  A cycle through a vertex closes the path between its
+first two block neighbours; the diamond of step 3 is a cycle plus one ear,
+the path grown from the first link that leaves the cycle (a chord is an
+ear with no interior).
+
+On rejection ``recognize`` returns an explicit embedding of the matching
+shape; ``bad_labeling_for`` then lifts the shape's stored bad
+timefunction through the embedding, producing a concrete instance where
+packing < covering, and ``extend_bad_labeling`` stretches it to a full
+supergraph labeling without closing the gap.
 """
 
 from __future__ import annotations
@@ -27,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
-
-import networkx as nx
 
 from .core import (
     MGraph,
@@ -150,60 +157,136 @@ def _witness(host: MGraph, code: str, vertex_map: dict, raw_paths: dict) -> Mino
 # -- the checklist ----------------------------------------------------------------
 
 
-def _underlying_nx(mg: MGraph) -> nx.Graph:
-    u = nx.Graph()
-    u.add_nodes_from(sorted(mg.vertices, key=token_key))
-    for (a, b), _ in mg.sorted_links():
-        u.add_edge(a, b)
-    return u
+def _blocks(mg: MGraph) -> list:
+    """The blocks of a connected multigraph (its maximal 2-connected pieces
+    and its bridges) as vertex sets: one lowpoint search (Hopcroft and
+    Tarjan, "Efficient algorithms for graph manipulation", CACM 1973) on an
+    explicit stack, so long paths cannot exhaust the recursion limit."""
+    root = min(mg.vertices, key=token_key)
+    order = {root: 0}
+    low = {root: 0}
+    pending = [root]  # visited vertices not yet closed into a block
+    # frame: (vertex, tree parent, neighbours left, its position in pending)
+    stack = [(root, None, iter(mg.neighbors(root)), 0)]
+    blocks = []
+    while stack:
+        v, parent, nbrs, pos = stack[-1]
+        for w in nbrs:
+            if w not in order:
+                order[w] = low[w] = len(order)
+                stack.append((w, v, iter(mg.neighbors(w)), len(pending)))
+                pending.append(w)
+                break
+            if w != parent:
+                low[v] = min(low[v], order[w])
+        else:
+            stack.pop()
+            if stack:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= order[parent]:
+                    blocks.append({parent, *pending[pos:]})
+                    del pending[pos:]
+    return blocks
 
 
-def _cycle_through(u_block: nx.Graph, x) -> list:
-    """A cycle through *x* inside a 2-connected block, as x, n1, ..., n2."""
-    nbrs = sorted(u_block[x], key=token_key)
-    rest = u_block.subgraph(n for n in u_block if n != x)
-    for i, n1 in enumerate(nbrs):
-        for n2 in nbrs[i + 1 :]:
-            if n1 in rest and n2 in rest and nx.has_path(rest, n1, n2):
-                return [x] + nx.shortest_path(rest, n1, n2)
-    raise AssertionError("2-connected block must close a cycle through x")
+def _path(mg: MGraph, start, stop, inside) -> list:
+    """A shortest path from *start* to the nearest vertex of the sequence
+    *stop*, all of its vertices in *inside*.  The breadth-first search
+    grows from both ends, one level of the smaller frontier at a time (the
+    start's on a tie), and ends where the two sides meet."""
+    parents = ({start: None}, dict.fromkeys(stop))
+    fringes = [[start], list(stop)]
+    while fringes[0] and fringes[1]:
+        side = int(len(fringes[0]) > len(fringes[1]))
+        mine, theirs = parents[side], parents[1 - side]
+        level, fringes[side] = fringes[side], []
+        for v in level:
+            for w in mg.neighbors(v):
+                if w not in inside:
+                    continue
+                if w not in mine:
+                    mine[w] = v
+                    fringes[side].append(w)
+                if w in theirs:
+                    halves = ([w], [w])
+                    for half, chain in zip(halves, parents):
+                        while chain[half[-1]] is not None:
+                            half.append(chain[half[-1]])
+                    return halves[0][::-1] + halves[1][1:]
+    raise AssertionError("no path inside the block")
+
+
+def _cycle_through(mg: MGraph, block: tuple, x) -> list:
+    """A cycle through *x* inside a 2-connected block, as x, n1, ..., n2:
+    x's first two block neighbours joined by a path that avoids x."""
+    inside = set(block) - {x}
+    n1, n2 = [w for w in mg.neighbors(x) if w in inside][:2]
+    return [x] + _path(mg, n1, (n2,), inside)
+
+
+def _theta(mg: MGraph, block: tuple) -> tuple:
+    """Two branch vertices joined by three internally disjoint paths, in a
+    2-connected block that is not a cycle: a cycle through the block's
+    least vertex, plus one ear grown from the first link that leaves the
+    cycle (a chord is an ear with no interior).  All three paths are
+    oriented from the first branch vertex to the second."""
+    inside = set(block)
+    cycle = _cycle_through(mg, block, block[0])
+    on_cycle = set(cycle)
+    n = len(cycle)
+    for i, a in enumerate(cycle):
+        for w in mg.neighbors(a):
+            if w not in inside or w in (cycle[i - 1], cycle[(i + 1) % n]):
+                continue
+            if w in on_cycle:
+                ear = [a, w]
+            else:
+                rest = [v for v in cycle if v != a]
+                ear = [a] + _path(mg, w, rest, inside - {a})
+            b = ear[-1]
+            rot = cycle[i:] + cycle[:i]
+            j = rot.index(b)
+            return a, b, ear, rot[: j + 1], [a] + rot[j:][::-1]
+    raise AssertionError("a block that is not a cycle has a link off any cycle")
 
 
 def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
-    u = _underlying_nx(mg)
     blocks = sorted(
-        (tuple(sorted(b, key=token_key)) for b in nx.biconnected_components(u)),
+        (tuple(sorted(b, key=token_key)) for b in _blocks(mg)),
         key=lambda b: tuple(token_key(v) for v in b),
     )
     big = [b for b in blocks if len(b) >= 3]
+    first: dict = {}  # vertex -> index of the first big block holding it
+    for i, b in enumerate(big):
+        for x in b:
+            first.setdefault(x, i)
 
     # 1: doubled bridge meeting a 2-connected piece -> pendant-triangle.
     for b in blocks:
         if len(b) == 2 and mg.multiplicity(*b) >= 2:
-            for big_b in big:
-                for x, y in ((b[0], b[1]), (b[1], b[0])):
-                    if x in big_b:
-                        cyc = _cycle_through(u.subgraph(big_b), x)
-                        n1, n2 = cyc[1], cyc[-1]
-                        return _witness(
-                            mg,
-                            "M2",
-                            {"s": y, "c": x, "b": n1, "a": n2},
-                            {
-                                ("s", "c"): (y, x),
-                                ("c", "b"): (x, n1),
-                                ("b", "a"): tuple(cyc[1:]),
-                                ("c", "a"): (x, n2),
-                            },
-                        )
+            ends = [(first[x], x, y) for x, y in (b, b[::-1]) if x in first]
+            if ends:
+                i, x, y = min(ends, key=lambda end: end[0])
+                cyc = _cycle_through(mg, big[i], x)
+                n1, n2 = cyc[1], cyc[-1]
+                return _witness(
+                    mg,
+                    "M2",
+                    {"s": y, "c": x, "b": n1, "a": n2},
+                    {
+                        ("s", "c"): (y, x),
+                        ("c", "b"): (x, n1),
+                        ("b", "a"): tuple(cyc[1:]),
+                        ("c", "a"): (x, n2),
+                    },
+                )
 
     # 2: two 2-connected pieces sharing a vertex -> bowtie.
-    owner: dict = {}
-    for bi, b in enumerate(big):
+    for i, b in enumerate(big):
         for x in b:
-            if x in owner:
-                c1 = _cycle_through(u.subgraph(big[owner[x]]), x)
-                c2 = _cycle_through(u.subgraph(b), x)
+            if first[x] != i:
+                c1 = _cycle_through(mg, big[first[x]], x)
+                c2 = _cycle_through(mg, b, x)
                 return _witness(
                     mg,
                     "M3",
@@ -217,16 +300,15 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                         ("c", "z"): (x, c2[-1]),
                     },
                 )
-            owner[x] = bi
 
     # 3: a 2-connected piece on >= 4 vertices that is not a cycle -> diamond.
     for b in big:
-        if len(b) < 4:
+        inside = set(b)
+        if len(b) < 4 or all(
+            sum(w in inside for w in mg.neighbors(v)) == 2 for v in b
+        ):
             continue
-        ub = u.subgraph(b)
-        if all(ub.degree(v) == 2 for v in b):
-            continue
-        branch_a, branch_b, p1, p2, p3 = _theta_in_block(ub)
+        branch_a, branch_b, p1, p2, p3 = _theta(mg, b)
         short, mid, long_ = sorted((p1, p2, p3), key=len)
         return _witness(
             mg,
@@ -243,25 +325,19 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
 
     # 4: a cycle on >= 4 vertices with a doubled link -> doubled-cycle.
     for b in big:
-        if len(b) < 4:
+        inside = set(b)
+        doubled = [
+            link_key(v, w)
+            for v in b
+            for w in mg.neighbors(v)
+            if w in inside and mg.multiplicity(v, w) >= 2
+        ]
+        if len(b) < 4 or not doubled:
             continue
-        doubled = sorted(
-            (
-                pair
-                for pair in (link_key(a, c) for a, c in u.subgraph(b).edges)
-                if mg.multiplicity(*pair) >= 2
-            ),
-            key=pair_key,
-        )
-        if not doubled:
-            continue
-        x, y = doubled[0]
-        arc = [x]
-        prev = y
-        while arc[-1] != y:
-            nbrs = [n for n in u.subgraph(b)[arc[-1]] if n != prev]
-            prev = arc[-1]
-            arc.append(nbrs[0])
+        x, y = min(doubled, key=pair_key)
+        # The cycle from x the long way round to y.
+        n = next(w for w in mg.neighbors(x) if w in inside and w != y)
+        arc = [x] + _path(mg, n, (y,), inside - {x})
         return _witness(
             mg,
             "M4",
@@ -299,61 +375,6 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                         },
                     )
     return None
-
-
-def _theta_in_block(ub: nx.Graph) -> tuple:
-    """Two branch vertices joined by three internally disjoint paths, in a
-    2-connected non-cycle block.  All three are returned oriented from the
-    first branch vertex to the second."""
-    cycle = [a for a, _ in nx.find_cycle(ub)]
-    in_cycle = set(cycle)
-    outside = sorted((v for v in ub if v not in in_cycle), key=token_key)
-    if outside:
-        # Attach an ear: two vertex-disjoint routes from an outside vertex
-        # down to the cycle, each clipped at its first cycle hit.
-        w = outside[0]
-        target = ("theta-target",)
-        aux = nx.Graph(ub)
-        while target in aux:
-            target = target + ("x",)
-        for v in in_cycle:
-            aux.add_edge(v, target)
-        routes = nx.node_disjoint_paths(aux, w, target)
-        ear_a = _clip(next(routes), in_cycle)
-        ear_b = _clip(next(routes), in_cycle)
-        a, b = ear_a[-1], ear_b[-1]
-        ear = list(reversed(ear_a)) + ear_b[1:]
-    else:
-        # The block is spanned by the cycle, so a non-cycle edge is a chord.
-        chords = sorted(
-            (link_key(a, b) for a, b in ub.edges if not _on_cycle(cycle, a, b)),
-            key=pair_key,
-        )
-        a, b = chords[0]
-        ear = [a, b]
-    ia, ib = cycle.index(a), cycle.index(b)
-    if ia > ib:
-        ia, ib = ib, ia
-        ear = list(reversed(ear))
-    a, b = cycle[ia], cycle[ib]
-    arc1 = cycle[ia : ib + 1]
-    arc2 = [cycle[i % len(cycle)] for i in range(ib, len(cycle) + ia + 1)]
-    return a, b, ear, arc1, list(reversed(arc2))
-
-
-def _clip(route: list, stop: set) -> list:
-    for i, v in enumerate(route):
-        if v in stop:
-            return route[: i + 1]
-    raise AssertionError("route never reaches the cycle")
-
-
-def _on_cycle(cycle: list, a, b) -> bool:
-    n = len(cycle)
-    for i in range(n):
-        if {cycle[i], cycle[(i + 1) % n]} == {a, b}:
-            return True
-    return False
 
 
 def recognize(g) -> MengerVerdict:

@@ -140,41 +140,50 @@ def _masks_over(universe: Sequence, sets: Iterable[frozenset]) -> list:
 # -- path-enumeration oracles --------------------------------------------------
 
 
+def _path_masks(g: TemporalGraph, s, z, limit: int, items, key) -> tuple:
+    """Every temporal s,z-path and the item set ``items(path)`` of each, as
+    ``(paths, universe, masks)``: the universe of items sorted by *key*,
+    and one bitmask over it per path."""
+    check_terminals(g, s, z)
+    paths = enumerate_paths(g, s, z, limit=limit)
+    sets = [items(p) for p in paths]
+    universe = sorted(frozenset().union(*sets), key=key)
+    return paths, universe, _masks_over(universe, sets)
+
+
+def _packing(g: TemporalGraph, s, z, limit: int, items, key) -> OracleValue:
+    """Most paths with pairwise disjoint item sets, the family as witness."""
+    paths, _, masks = _path_masks(g, s, z, limit, items, key)
+    size, idx = max_disjoint_masks(masks)
+    return OracleValue(size, tuple(paths[i] for i in idx))
+
+
+def _covering(g: TemporalGraph, s, z, limit: int, items, key) -> OracleValue:
+    """Fewest items meeting every path's item set, the lexicographically
+    least such set (in *key* order) as witness."""
+    _, universe, masks = _path_masks(g, s, z, limit, items, key)
+    size, chosen = min_hitting_set(masks, universe)
+    return OracleValue(size, frozenset(chosen))
+
+
 def brute_force_p(g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT) -> OracleValue:
     """Maximum number of pairwise snapshot-disjoint temporal s,z-paths,
     with a maximum family as witness (paths considered in lexicographic
     order)."""
-    check_terminals(g, s, z)
-    paths = enumerate_paths(g, s, z, limit=limit)
-    labels = sorted(frozenset().union(*(p.label_set for p in paths))) if paths else []
-    masks = _masks_over(labels, (p.label_set for p in paths))
-    size, idx = max_disjoint_masks(masks)
-    return OracleValue(size, tuple(paths[i] for i in idx))
+    return _packing(g, s, z, limit, lambda p: p.label_set, None)
 
 
 def brute_force_c(g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT) -> OracleValue:
     """Minimum number of labels whose removal leaves *z* unreachable from
     *s*, with the lexicographically least minimum label set as witness."""
-    check_terminals(g, s, z)
-    paths = enumerate_paths(g, s, z, limit=limit)
-    if not paths:
-        return OracleValue(0, frozenset())
-    labels = sorted(frozenset().union(*(p.label_set for p in paths)))
-    masks = _masks_over(labels, (p.label_set for p in paths))
-    size, chosen = min_hitting_set(masks, labels)
-    return OracleValue(size, frozenset(chosen))
+    return _covering(g, s, z, limit, lambda p: p.label_set, None)
 
 
 def brute_force_edge_disjoint(
     g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT
 ) -> OracleValue:
     """Maximum family of pairwise edge-disjoint temporal s,z-paths."""
-    check_terminals(g, s, z)
-    paths = enumerate_paths(g, s, z, limit=limit)
-    ids = sorted({e for p in paths for e in p.edge_ids}, key=token_key)
-    masks = _masks_over(ids, (frozenset(p.edge_ids) for p in paths))
-    size, idx = max_disjoint_masks(masks)
-    return OracleValue(size, tuple(paths[i] for i in idx))
+    return _packing(g, s, z, limit, lambda p: frozenset(p.edge_ids), token_key)
 
 
 def brute_force_multiedge_disjoint(
@@ -182,26 +191,14 @@ def brute_force_multiedge_disjoint(
 ) -> OracleValue:
     """Maximum family of temporal s,z-paths no two of which share a
     multiedge (an underlying vertex pair)."""
-    check_terminals(g, s, z)
-    paths = enumerate_paths(g, s, z, limit=limit)
-    pairs = sorted({pr for p in paths for pr in p.multiedge_pairs}, key=pair_key)
-    masks = _masks_over(pairs, (p.multiedge_pairs for p in paths))
-    size, idx = max_disjoint_masks(masks)
-    return OracleValue(size, tuple(paths[i] for i in idx))
+    return _packing(g, s, z, limit, lambda p: p.multiedge_pairs, pair_key)
 
 
 def brute_force_multiedge_cut(
     g: TemporalGraph, s, z, limit: int = DEFAULT_PATH_LIMIT
 ) -> OracleValue:
     """Minimum set of multiedges whose removal leaves *z* unreachable."""
-    check_terminals(g, s, z)
-    paths = enumerate_paths(g, s, z, limit=limit)
-    if not paths:
-        return OracleValue(0, frozenset())
-    pairs = sorted({pr for p in paths for pr in p.multiedge_pairs}, key=pair_key)
-    masks = _masks_over(pairs, (p.multiedge_pairs for p in paths))
-    size, chosen = min_hitting_set(masks, pairs)
-    return OracleValue(size, frozenset(chosen))
+    return _covering(g, s, z, limit, lambda p: p.multiedge_pairs, pair_key)
 
 
 # -- source-problem solvers (ground truth for the reductions) ------------------

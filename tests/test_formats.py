@@ -117,6 +117,10 @@ class TestFiles:
         with pytest.raises(MalformedInput, match="cannot read"):
             formats.load_graph(tmp_path / "absent")
 
+    def test_unwritable_path(self, tmp_path, demo):
+        with pytest.raises(MalformedInput, match="cannot write"):
+            formats.save_graph(tmp_path / "absent" / "g.json", demo.graph)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))

@@ -1,12 +1,19 @@
 """Recognition, the obstruction catalog, and lifted bad labelings."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mgraph
+from conftest import all_multigraphs_up_to_iso, random_mgraph
+from tgmenger import mengerian
 from tgmenger.core import MGraph, TemporalGraph, has_m_topological_minor
 from tgmenger.errors import CatalogViolation, MalformedInput
 from tgmenger.fixtures import fixture_names, get_fixture
@@ -243,3 +250,107 @@ class TestLifts:
         assert full.underlying().canonical_form() == k4.canonical_form()
         p, c = open_gap(full, s, z)
         assert p < c
+
+
+# -- witnesses pinned across refactors -------------------------------------------
+
+
+def cored_host(rng: random.Random) -> MGraph:
+    """A 2-connected core of 4-6 vertices (a cycle plus random chords) with
+    a pendant tree hung off it, on shuffled string vertex names."""
+    k = rng.randint(4, 6)
+    names = [f"v{i}" for i in range(k + rng.randint(3, 10))]
+    rng.shuffle(names)
+    pairs = [(names[i], names[(i + 1) % k]) for i in range(k)]
+    pairs += [
+        (names[i], names[j])
+        for i in range(k)
+        for j in range(i + 2, k)
+        if (i, j) != (0, k - 1) and rng.random() < 0.3
+    ]
+    pairs += [(names[rng.randrange(j)], names[j]) for j in range(k, len(names))]
+    return MGraph([(u, v, rng.choice((1, 1, 2))) for u, v in pairs])
+
+
+def witness_hosts() -> list:
+    """Criterion 6's classes, every fixture's multigraph, 400 seeded hosts
+    on up to 12 vertices and 300 seeded cored hosts."""
+    hosts = list(all_multigraphs_up_to_iso())
+    hosts += [get_fixture(name).graph.underlying() for name in fixture_names()]
+    rng = random.Random(20261020)
+    hosts += [random_mgraph(rng, max_vertices=12, max_links=16, max_mult=2) for _ in range(400)]
+    hosts += [cored_host(rng) for _ in range(300)]
+    return hosts
+
+
+def witness_digest(hosts, skip=()) -> str:
+    """sha256 over every host's verdict, and over the full embedding of
+    each witness whose code is not in *skip*."""
+    digest = hashlib.sha256()
+    for mg in hosts:
+        w = recognize(mg).witness
+        line = ("yes",) if w is None else (w.code,)
+        if w is not None and w.code not in skip:
+            emb = w.embedding
+            line += (sorted(emb.vertex_map.items()), sorted(emb.link_paths.items()))
+        digest.update(repr(line).encode())
+    return digest.hexdigest()
+
+
+# Recorded while recognition still ran on networkx: verdicts everywhere,
+# and every M1-M4 witness in full.
+NON_M5_WITNESS_DIGEST = "89dbbebd3dbe75d2573cc94494de239ff84e6d321d39d61c11d207296fd6fad3"
+
+
+# Recorded once recognition ran on its own block search: every witness,
+# the diamonds (M5) grown from a cycle and one ear included.
+WITNESS_DIGEST = "7b2544caa706d0628a1aab82a655089c037060c5eda7ef175febb9465fd872a5"
+
+
+def test_witnesses_match_the_recorded_digests():
+    hosts = witness_hosts()
+    assert witness_digest(hosts, skip={"M5"}) == NON_M5_WITNESS_DIGEST
+    assert witness_digest(hosts) == WITNESS_DIGEST
+
+
+K4_WITH_TAIL = "a b 1\na c 1\na d 1\nb c 1\nb d 1\nc d 1\nd p1 1\n" + "".join(
+    f"p{i} p{i + 1} 1\n" for i in range(1, 6)
+)
+
+
+def test_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    # The K4 block holds 4 of the component's 10 vertices, so a search
+    # that walked a set of its string names would vary with the seed.
+    path = tmp_path / "k4-tail.edges"
+    path.write_text(K4_WITH_TAIL)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("1", "2", "4", "5", "6"):
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tgmenger", "mengerian", "-g", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+
+
+def test_long_doubled_cycle_answers_quickly():
+    n = 20_000
+    cycle = MGraph([(0, 1, 2)] + [(i, (i + 1) % n) for i in range(1, n)])
+    started = time.perf_counter()
+    verdict = recognize(cycle)
+    assert time.perf_counter() - started < 10.0
+    assert verdict.witness.code == "M4"
+    assert verdict.witness.embedding.vertex_map == {"a": 0, "z": 1, "s": n - 1, "b": n - 2}
+
+
+def test_recognition_runs_without_networkx():
+    assert not hasattr(mengerian, "nx")
+    origins = [
+        getattr(value, "__module__", None) or getattr(value, "__name__", None)
+        for value in vars(mengerian).values()
+    ]
+    assert not any(str(origin).startswith("networkx") for origin in origins)
