@@ -728,27 +728,27 @@ class MGraph:
     # -- global structure ---------------------------------------------------
 
     def components(self) -> list:
-        seen: set = set()
-        comps = []
+        """The connected components, ordered by least vertex (token order);
+        each keeps its links in this graph's link order."""
+        comp_of: dict = {}
+        members: list = []
         for start in sorted(self.vertices, key=token_key):
-            if start in seen:
+            if start in comp_of:
                 continue
-            comp = {start}
+            comp_of[start] = len(members)
+            comp = [start]
             queue = [start]
             while queue:
-                cur = queue.pop()
-                for w in self.neighbors(cur):
-                    if w not in comp:
-                        comp.add(w)
+                for w in self.neighbors(queue.pop()):
+                    if w not in comp_of:
+                        comp_of[w] = len(members)
+                        comp.append(w)
                         queue.append(w)
-            seen |= comp
-            comps.append(
-                MGraph(
-                    {p: m for p, m in self.links.items() if p[0] in comp},
-                    vertices=comp,
-                )
-            )
-        return comps
+            members.append(comp)
+        links: list = [{} for _ in members]
+        for p, m in self.links.items():
+            links[comp_of[p[0]]][p] = m
+        return [MGraph(ls, vertices=vs) for ls, vs in zip(links, members)]
 
     def is_connected(self) -> bool:
         return len(self.vertices) <= 1 or len(self.components()) == 1

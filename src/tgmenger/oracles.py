@@ -1,16 +1,22 @@
 """Brute-force reference implementations and exhaustive searches.
 
 Everything here is deliberately simple and slow: path enumeration plus
-set packing / set covering over label sets.  The fast engines elsewhere in
-the package are always cross-checked against these in the test suite.
+set packing / set covering over bitmasks.  One exact packing search
+(:func:`max_disjoint_masks`) and one exact covering search
+(:func:`min_hitting_set`) give every optimum the module reports: the
+brute-force packing and cut values, the independent-set and vertex-cover
+ground truth, and the semantic sweep's gap test.  The fast engines
+elsewhere in the package are always cross-checked against these in the
+test suite.
 
 The second half of the module implements the semantic side of the
 Mengerian question for untimed multigraphs: sweep *every* order type of
 timefunction (weak orders over the edge set), compute the packing and
 covering numbers for each, and report a violating labeling if one exists.
 This is the independent instrument the recognition routine is judged
-against, so it deliberately shares no code with it.  Gap verdicts are
-cached per family of realizable label masks for the life of the process.
+against, so it deliberately shares no code with it: of the package it
+imports only the graph types and the errors.  Gap verdicts are cached per
+family of realizable label masks for the life of the process.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .core import (
     pair_key,
     token_key,
 )
-from .errors import MalformedInput, PatternTooLarge
+from .errors import MalformedInput, PatternTooLarge, UnknownVertex
 
 DEFAULT_PATH_LIMIT = 100_000
 
@@ -216,17 +222,19 @@ def max_independent_set(vertices: Sequence, edges: Iterable[tuple]) -> OracleVal
     for bit, (u, v) in enumerate(edges):
         if u == v:
             raise MalformedInput(f"loop at {u!r}")
-        masks[pos[u]] |= 1 << bit
-        masks[pos[v]] |= 1 << bit
+        for w in (u, v):
+            if w not in pos:
+                raise UnknownVertex(w)
+            masks[pos[w]] |= 1 << bit
     size, chosen = max_disjoint_masks(masks)
     return OracleValue(size, frozenset(verts[i] for i in chosen))
 
 
 def min_vertex_cover(vertices: Sequence, edges: Iterable[tuple]) -> OracleValue:
     """Minimum vertex cover, via the independent-set complement."""
-    edges = list(edges)
+    vertices = list(vertices)
     mis = max_independent_set(vertices, edges)
-    return OracleValue(len(list(vertices)) - mis.value, frozenset(vertices) - mis.witness)
+    return OracleValue(len(vertices) - mis.value, frozenset(vertices) - mis.witness)
 
 
 def find_multicolored_clique(coloring: dict, edges: Iterable[tuple]) -> Optional[frozenset]:
@@ -300,32 +308,28 @@ class SemanticViolation:
     covering: int
 
 
-class _PairSweep:
-    """Per-terminal-pair precomputation: the structural s,z-paths of the
-    underlying graph, as sequences of link indices."""
+def _structural_paths(mg: MGraph, link_index: dict, s, z) -> list:
+    """The structural s,z-paths of the underlying graph, as tuples of link
+    indices, in depth-first order over token-ordered neighbours."""
+    paths: list = []
+    trail_v = {s}
+    trail_l: list = []
 
-    def __init__(self, mg: MGraph, link_index: dict, s, z):
-        self.s = s
-        self.z = z
-        self.paths: list = []
-        trail_v = {s}
-        trail_l: list = []
+    def go(cur):
+        for w in mg.neighbors(cur):
+            if w == z:
+                paths.append(tuple(trail_l + [link_index[link_key(cur, w)]]))
+                continue
+            if w in trail_v:
+                continue
+            trail_v.add(w)
+            trail_l.append(link_index[link_key(cur, w)])
+            go(w)
+            trail_v.discard(w)
+            trail_l.pop()
 
-        def go(cur):
-            for w in mg.neighbors(cur):
-                if w == z:
-                    self.paths.append(tuple(trail_l + [link_index[link_key(cur, w)]]))
-                    continue
-                if w in trail_v:
-                    continue
-                trail_v.add(w)
-                trail_l.append(link_index[link_key(cur, w)])
-                go(w)
-                trail_v.discard(w)
-                trail_l.pop()
-
-        if s != z:
-            go(s)
+    go(s)
+    return paths
 
 
 def _realizable_masks(path_links: tuple, link_labels: list) -> set:
@@ -344,52 +348,16 @@ def _realizable_masks(path_links: tuple, link_labels: list) -> set:
     return {mask for _, mask in states}
 
 
-def _antichain(masks: set) -> list:
-    """Drop every mask that strictly contains another; neither the packing
-    nor the covering optimum changes."""
-    return [m for m in masks if not any(o != m and o & m == o for o in masks)]
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def _hits_with(masks: list, universe: list, size: int) -> bool:
-    """Is there a hitting set of exactly ``size`` elements of ``universe``
-    (given as label values, not positions)?"""
-
-    def go(start: int, left: int, remaining: list) -> bool:
-        if not remaining:
-            return True
-        if left == 0 or _disjoint_lower_bound(remaining) > left:
-            return False
-        for i in range(start, len(universe) - left + 1):
-            bit = 1 << universe[i]
-            if go(i + 1, left - 1, [m for m in remaining if not m & bit]):
-                return True
-        return False
-
-    return go(0, size, list(masks))
-
-
 @lru_cache(maxsize=None)
 def _gap_open(masks: frozenset) -> bool:
     """Is packing below covering for a pair whose realizable label sets
-    are *masks*?  Masks are bitmasks over labels 1..8, so families recur
-    across patterns, pairs and graphs: each is decided once per process."""
-    kept = _antichain(masks)
-    if len(kept) == 1:
-        return False
-    p, _ = max_disjoint_masks(kept)
-    # covering >= packing always; the gap is open iff no hitting set of
-    # size exactly p exists.
-    universe = sorted({t for mk in kept for t in _bits(mk)})
-    return not _hits_with(kept, universe, p)
+    are *masks*?  Masks are bitmasks over labels 1..8, so bit positions
+    serve as the covering universe and the module's own packing and
+    covering searches decide the gap.  Families recur across patterns,
+    pairs and graphs: each is decided once per process."""
+    family = sorted(masks)
+    positions = range(family[-1].bit_length())
+    return min_hitting_set(family, positions)[0] > max_disjoint_masks(family)[0]
 
 
 def _automorphism_pair_reps(mg: MGraph) -> list:
@@ -432,10 +400,10 @@ def _sweep(mg: MGraph) -> Optional[tuple]:
         base += mult
     link_index = {pair: i for i, (pair, _) in enumerate(links)}
     sweeps = [
-        ps
+        (s, z, paths)
         for s, z in _automorphism_pair_reps(mg)
-        for ps in (_PairSweep(mg, link_index, s, z),)
-        if ps.paths
+        for paths in (_structural_paths(mg, link_index, s, z),)
+        if paths
     ]
     if not sweeps:
         return None
@@ -449,12 +417,12 @@ def _sweep(mg: MGraph) -> Optional[tuple]:
         if any(pattern[a] >= pattern[b] for a, b in increasing_runs):
             continue
         link_labels = [tuple(pattern[i] for i in slots) for slots in slot_of]
-        for ps in sweeps:
+        for s, z, paths in sweeps:
             masks: set = set()
-            for path in ps.paths:
+            for path in paths:
                 masks |= _realizable_masks(path, link_labels)
             if masks and _gap_open(frozenset(masks)):
-                return (ps.s, ps.z, link_labels)
+                return (s, z, link_labels)
     return None
 
 
@@ -478,41 +446,35 @@ def semantic_is_mengerian(mg: MGraph) -> bool:
     verdicts per family of realizable label masks, for the life of the
     process; disconnected graphs are answered component-wise.
     """
-    comps = mg.components()
-    if len(comps) > 1:
-        return all(semantic_is_mengerian(c) for c in comps)
-    if mg.order() <= 1 or not mg.links:
-        return True
-    key = mg.canonical_form()
-    if key not in _VERDICT_MEMO:
-        _VERDICT_MEMO[key] = _sweep(mg) is None
-    return _VERDICT_MEMO[key]
+    for comp in mg.components():
+        if not comp.links:
+            continue
+        key = comp.canonical_form()
+        if key not in _VERDICT_MEMO:
+            _VERDICT_MEMO[key] = _sweep(comp) is None
+        if not _VERDICT_MEMO[key]:
+            return False
+    return True
 
 
 def find_semantic_violation(mg: MGraph) -> Optional[SemanticViolation]:
     """A concrete bad timefunction for a non-Mengerian multigraph, or
     ``None`` when the sweep certifies every labeling tight."""
-    comps = mg.components()
-    if len(comps) > 1:
-        for c in comps:
-            hit = find_semantic_violation(c)
-            if hit is not None:
-                return hit
-        return None
-    if mg.order() <= 1 or not mg.links:
-        return None
-    key = mg.canonical_form()
-    if _VERDICT_MEMO.get(key) is True:
-        return None
-    found = _sweep(mg)
-    _VERDICT_MEMO[key] = found is None
-    if found is None:
-        return None
-    s, z, link_labels = found
-    g = _labeling_graph(mg, link_labels)
-    p = brute_force_p(g, s, z)
-    c = brute_force_c(g, s, z)
-    return SemanticViolation(s, z, g, p.value, c.value)
+    for comp in mg.components():
+        if not comp.links:
+            continue
+        key = comp.canonical_form()
+        if _VERDICT_MEMO.get(key) is True:
+            continue
+        found = _sweep(comp)
+        _VERDICT_MEMO[key] = found is None
+        if found is not None:
+            s, z, link_labels = found
+            g = _labeling_graph(comp, link_labels)
+            p = brute_force_p(g, s, z)
+            c = brute_force_c(g, s, z)
+            return SemanticViolation(s, z, g, p.value, c.value)
+    return None
 
 
 # -- exhaustive graph generation ------------------------------------------------

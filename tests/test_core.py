@@ -37,7 +37,7 @@ from tgmenger.errors import (
     UnknownVertex,
 )
 from tgmenger.injective_flow import injective_connectivity, max_edge_disjoint_paths
-from tgmenger.mengerian import catalog, catalog_entry
+from tgmenger.mengerian import catalog, catalog_entry, recognize
 
 
 def test_token_key_orders_ints_before_strings():
@@ -270,6 +270,29 @@ class TestMGraph:
         comps = mg.components()
         assert [sorted(c.vertices) for c in comps] == [["a", "b"], ["c", "d"], ["e"]]
         assert not mg.is_connected()
+
+    def test_many_components_split_in_linear_time(self):
+        # One search labels every vertex and one pass over the links fills
+        # the components; filtering all links per component was quadratic.
+        n = 16_000
+        mg = MGraph([(2 * i, 2 * i + 1) for i in range(n)])
+        started = time.perf_counter()
+        comps = mg.components()
+        assert time.perf_counter() - started < 3.0
+        assert len(comps) == n
+        assert comps[1].links == {(2, 3): 1} and comps[1].vertices == {2, 3}
+        started = time.perf_counter()
+        verdict = recognize(mg)
+        assert time.perf_counter() - started < 3.0
+        assert verdict.mengerian and verdict.witness is None
+
+    def test_components_keep_the_link_order(self):
+        mg = MGraph([("c", "d"), ("a", "b"), ("b", "e", 2), ("d", "f")])
+        comps = mg.components()
+        assert [list(c.links) for c in comps] == [
+            [("a", "b"), ("b", "e")],
+            [("c", "d"), ("d", "f")],
+        ]
 
     def test_canonical_form_is_isomorphism_invariant(self):
         a = MGraph([("x", "y", 2), ("y", "w", 1)])
