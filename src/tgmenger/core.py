@@ -28,6 +28,14 @@ one pair share that work; a question on another pair replaces the view,
 so a graph holds at most one pair's derived data.  Copies and pickles
 leave it out.
 
+One depth-first search on an explicit stack enumerates simple paths for
+the whole module: given a callback that lists a vertex's moves in the order
+they are tried, it yields every simple start,stop-path with its steps.
+:func:`enumerate_paths` moves along incident edges in edge-id order whose
+label is at least the entering edge's; the minor matcher moves to
+token-ordered host neighbours through links heavy enough for the pattern
+link and off the other branch vertices and paths.
+
 The module also provides :class:`MGraph`, the untimed multigraph skeleton
 (vertices, links, multiplicities) used by the recognition machinery, plus
 m-subdivision and a small-pattern topological-minor matcher that respects
@@ -145,21 +153,27 @@ class TemporalGraph:
         seen_slot: dict = {}
         verts = set(vertices)
         for item in edges:
-            e = item if isinstance(item, Edge) else Edge(*item)
+            try:
+                e = item if isinstance(item, Edge) else Edge(*item)
+            except TypeError:
+                raise MalformedInput(f"edge item {item!r} is not (edge_id, u, v, t)") from None
             if not isinstance(e.t, int) or isinstance(e.t, bool) or e.t < 1:
                 raise MalformedInput(
                     f"edge {e.eid!r}: label must be a positive integer, got {e.t!r}"
                 )
             if e.u == e.v:
                 raise MalformedInput(f"edge {e.eid!r}: loops are not allowed")
-            if e.eid in by_id:
-                raise MalformedInput(f"duplicate edge id {e.eid!r}")
             slot = (e.pair, e.t)
-            if slot in seen_slot:
-                raise MalformedInput(
-                    f"edges {seen_slot[slot]!r} and {e.eid!r} are parallel and "
-                    f"share label {e.t}; snapshots must be simple"
-                )
+            try:
+                if e.eid in by_id:
+                    raise MalformedInput(f"duplicate edge id {e.eid!r}")
+                if slot in seen_slot:
+                    raise MalformedInput(
+                        f"edges {seen_slot[slot]!r} and {e.eid!r} are parallel and "
+                        f"share label {e.t}; snapshots must be simple"
+                    )
+            except TypeError:
+                raise MalformedInput(f"edge item {item!r} has an unhashable id or end") from None
             seen_slot[slot] = e.eid
             by_id[e.eid] = e
             built.append(e)
@@ -558,6 +572,40 @@ def _walk_back(parent: Mapping, s: Vertex, z: Vertex) -> TemporalWalk:
     return TemporalWalk(tuple(reversed(rv)), tuple(reversed(re)))
 
 
+def _simple_paths(start: Vertex, stop: Vertex, moves) -> Iterator[tuple]:
+    """Every simple *start*,*stop*-path, depth first, as its vertex and
+    step tuples.
+
+    ``moves(vertex, step)`` lists the ``(step, next vertex)`` moves out of a
+    vertex entered by *step* (``None`` at *start*), in the order they are
+    tried; moves to a vertex already on the path are skipped.  A path ends
+    the moment it reaches *stop*, so none passes through it.  An explicit
+    stack of move iterators keeps long paths from exhausting the
+    interpreter's recursion limit.
+    """
+    vpath = [start]
+    spath: list = []
+    used = {start}
+    stack = [iter(moves(start, None))]
+    while stack:
+        for step, nxt in stack[-1]:
+            if nxt in used:
+                continue
+            if nxt == stop:
+                yield (*vpath, stop), (*spath, step)
+                continue
+            vpath.append(nxt)
+            spath.append(step)
+            used.add(nxt)
+            stack.append(iter(moves(nxt, step)))
+            break
+        else:
+            stack.pop()
+            if spath:
+                used.discard(vpath.pop())
+                spath.pop()
+
+
 def enumerate_paths(
     g: TemporalGraph, s: Vertex, z: Vertex, limit: Optional[int] = None
 ) -> list:
@@ -575,39 +623,17 @@ def enumerate_paths(
     if s == z:
         return [TemporalWalk((s,), ())]
 
-    def by_eid(v: Vertex) -> Iterator:
-        return iter(sorted(g.incident(v), key=lambda e: token_key(e.eid)))
+    def moves(v: Vertex, e: Optional[Edge]) -> Iterator:
+        floor = 0 if e is None else e.t
+        for f in sorted(g.incident(v), key=lambda f: token_key(f.eid)):
+            if f.t >= floor:
+                yield f, f.other(v)
 
-    # An explicit stack of (vertex, label floor, edge iterator) frames
-    # keeps long paths from exhausting the interpreter's recursion limit.
     out: list = []
-    vpath = [s]
-    epath: list = []
-    used = {s}
-    stack = [(s, 0, by_eid(s))]
-    while stack:
-        cur, floor, edges = stack[-1]
-        for e in edges:
-            if e.t < floor:
-                continue
-            nxt = e.other(cur)
-            if nxt in used:
-                continue
-            if nxt == z:
-                out.append(TemporalWalk(tuple(vpath) + (z,), tuple(epath) + (e,)))
-                if limit is not None and len(out) > limit:
-                    raise LimitExceeded(limit, "temporal paths")
-                continue
-            vpath.append(nxt)
-            epath.append(e)
-            used.add(nxt)
-            stack.append((nxt, e.t, by_eid(nxt)))
-            break
-        else:
-            stack.pop()
-            if epath:
-                used.discard(vpath.pop())
-                epath.pop()
+    for vertices, edges in _simple_paths(s, z, moves):
+        out.append(TemporalWalk(vertices, edges))
+        if limit is not None and len(out) > limit:
+            raise LimitExceeded(limit, "temporal paths")
     return out
 
 
@@ -632,16 +658,25 @@ class MGraph:
 
     def __init__(self, links=(), vertices: Iterable[Vertex] = ()):
         acc: dict = {}
-        if isinstance(links, Mapping):
-            items = [(u, v, m) for (u, v), m in links.items()]
-        else:
-            items = [it if len(it) == 3 else (*it, 1) for it in links]
-        for u, v, m in items:
+        mapping = isinstance(links, Mapping)
+        for item in links.items() if mapping else links:
+            try:
+                (u, v), m = (
+                    item if mapping else (item[:2], item[2]) if len(item) == 3 else (item, 1)
+                )
+                pair = link_key(u, v)
+                before = acc.get(pair, 0)
+            except (TypeError, ValueError):
+                raise MalformedInput(
+                    f"link item {item!r} is not (u, v) or (u, v, m) with hashable ends"
+                ) from None
             if u == v:
                 raise MalformedInput(f"loop link at {u!r}")
-            if not isinstance(m, int) or m < 1:
-                raise MalformedInput(f"multiplicity of {u!r}-{v!r} must be >= 1")
-            acc[link_key(u, v)] = acc.get(link_key(u, v), 0) + m
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+                raise MalformedInput(
+                    f"multiplicity of {u!r}-{v!r} must be a positive integer, got {m!r}"
+                )
+            acc[pair] = before + m
         self.links: dict = acc
         verts = set(vertices)
         for u, v in acc:
@@ -855,32 +890,6 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
         need, have = p_mults[pv], h_mults[hv]
         return len(have) >= len(need) and all(a >= b for a, b in zip(have, need))
 
-    def paths_between(a: Vertex, b: Vertex, mult: int, banned: frozenset) -> Iterator[tuple]:
-        """Simple host a,b-paths avoiding ``banned`` internally, using only
-        links of multiplicity >= mult."""
-        # One neighbour iterator per trail vertex, as in enumerate_paths, so
-        # long host paths do not exhaust the interpreter's recursion limit.
-        trail = [a]
-        on_trail = {a}
-        stack = [iter(host.neighbors(a))]
-        while stack:
-            cur = trail[-1]
-            for w in stack[-1]:
-                if host.multiplicity(cur, w) < mult:
-                    continue
-                if w == b:
-                    yield tuple(trail) + (b,)
-                    continue
-                if w in on_trail or w in banned:
-                    continue
-                trail.append(w)
-                on_trail.add(w)
-                stack.append(iter(host.neighbors(w)))
-                break
-            else:
-                stack.pop()
-                on_trail.discard(trail.pop())
-
     def embed_links(i: int, vmap: dict, internals: frozenset) -> Optional[dict]:
         if i == len(p_links):
             return {}
@@ -888,7 +897,15 @@ def find_m_topological_minor(host: MGraph, pattern: MGraph) -> Optional[MinorEmb
         a, b = vmap[pa], vmap[pb]
         branch_images = frozenset(vmap.values())
         banned = (branch_images - {a, b}) | internals
-        for path in paths_between(a, b, mult, banned):
+
+        def moves(v: Vertex, _) -> Iterator:
+            # Host paths need no steps, only links of multiplicity >= mult
+            # that avoid ``banned`` internally.
+            for w in host.neighbors(v):
+                if w not in banned and host.multiplicity(v, w) >= mult:
+                    yield None, w
+
+        for path, _ in _simple_paths(a, b, moves):
             inner = frozenset(path[1:-1])
             rest = embed_links(i + 1, vmap, internals | inner)
             if rest is not None:

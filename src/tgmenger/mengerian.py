@@ -143,12 +143,19 @@ def _validate_embedding(host: MGraph, pattern: MGraph, emb: MinorEmbedding) -> N
         internals_seen |= inner
 
 
-def _witness(host: MGraph, code: str, vertex_map: dict, raw_paths: dict) -> MinorWitness:
+def _witness(host: MGraph, code: str, vertex_map: dict, long_paths: dict) -> MinorWitness:
+    """The embedding of shape *code* whose pattern links run along the
+    given *long_paths*, each from the image of its key's first vertex to
+    the second, or else along the host link between their two images;
+    every path is stored oriented by :func:`link_key`."""
     entry = catalog_entry(code)
     link_paths = {}
-    for (pu, pv), path in raw_paths.items():
-        key = link_key(pu, pv)
-        link_paths[key] = tuple(path) if key == (pu, pv) else tuple(reversed(path))
+    for pu, pv in entry.shape.links:
+        if (pv, pu) in long_paths:
+            path = long_paths[pv, pu][::-1]
+        else:
+            path = long_paths.get((pu, pv), (vertex_map[pu], vertex_map[pv]))
+        link_paths[pu, pv] = tuple(path)
     emb = MinorEmbedding(dict(vertex_map), link_paths)
     _validate_embedding(host, entry.shape, emb)
     return MinorWitness(entry.code, entry.name, emb)
@@ -273,12 +280,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                     mg,
                     "M2",
                     {"s": y, "c": x, "b": n1, "a": n2},
-                    {
-                        ("s", "c"): (y, x),
-                        ("c", "b"): (x, n1),
-                        ("b", "a"): tuple(cyc[1:]),
-                        ("c", "a"): (x, n2),
-                    },
+                    {("b", "a"): cyc[1:]},
                 )
 
     # 2: two 2-connected pieces sharing a vertex -> bowtie.
@@ -291,14 +293,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                     mg,
                     "M3",
                     {"c": x, "s": c1[1], "a": c1[-1], "b": c2[1], "z": c2[-1]},
-                    {
-                        ("s", "c"): (c1[1], x),
-                        ("s", "a"): tuple(c1[1:]),
-                        ("a", "c"): (c1[-1], x),
-                        ("c", "b"): (x, c2[1]),
-                        ("b", "z"): tuple(c2[1:]),
-                        ("c", "z"): (x, c2[-1]),
-                    },
+                    {("s", "a"): c1[1:], ("b", "z"): c2[1:]},
                 )
 
     # 3: a 2-connected piece on >= 4 vertices that is not a cycle -> diamond.
@@ -314,13 +309,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
             mg,
             "M5",
             {"a": branch_a, "b": branch_b, "s": mid[1], "z": long_[1]},
-            {
-                ("a", "b"): tuple(short),
-                ("s", "a"): (mid[1], branch_a),
-                ("s", "b"): tuple(mid[1:]),
-                ("a", "z"): (branch_a, long_[1]),
-                ("z", "b"): tuple(long_[1:]),
-            },
+            {("a", "b"): short, ("s", "b"): mid[1:], ("z", "b"): long_[1:]},
         )
 
     # 4: a cycle on >= 4 vertices with a doubled link -> doubled-cycle.
@@ -342,12 +331,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
             mg,
             "M4",
             {"a": x, "z": y, "s": arc[1], "b": arc[2]},
-            {
-                ("a", "z"): (x, y),
-                ("s", "a"): (arc[1], x),
-                ("s", "b"): (arc[1], arc[2]),
-                ("z", "b"): tuple(reversed(arc[2:])),
-            },
+            {("b", "z"): arc[2:]},
         )
 
     # 5: a 4-vertex path of doubled links -> doubled-path.
@@ -364,16 +348,7 @@ def _recognize_component(mg: MGraph) -> Optional[MinorWitness]:
                 for v3 in sorted(heavy[v2], key=token_key):
                     if v3 in (v0, v1):
                         continue
-                    return _witness(
-                        mg,
-                        "M1",
-                        {"s": v0, "a": v1, "b": v2, "z": v3},
-                        {
-                            ("s", "a"): (v0, v1),
-                            ("a", "b"): (v1, v2),
-                            ("b", "z"): (v2, v3),
-                        },
-                    )
+                    return _witness(mg, "M1", {"s": v0, "a": v1, "b": v2, "z": v3}, {})
     return None
 
 

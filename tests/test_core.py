@@ -59,6 +59,11 @@ class TestConstruction:
         with pytest.raises(MalformedInput, match="duplicate edge id"):
             TemporalGraph([(0, "a", "b", 1), (0, "b", "c", 2)])
 
+    @pytest.mark.parametrize("item", [(0, "a", "b"), 7, (0, ["a"], "b", 1), ([0], "a", "b", 1)])
+    def test_malformed_item_rejected(self, item):
+        with pytest.raises(MalformedInput, match="edge item"):
+            TemporalGraph([item])
+
     def test_loop_rejected(self):
         with pytest.raises(MalformedInput, match="loops"):
             TemporalGraph([(0, "a", "a", 1)])
@@ -185,12 +190,48 @@ class TestTraversal:
         with pytest.raises(LimitExceeded):
             enumerate_paths(demo.graph, "s", "z", limit=2)
 
+    def test_enumerate_paths_in_documented_order(self):
+        total = 0
+        for seed in range(300):
+            g = random_temporal_graph(random.Random(seed))
+            for s in sorted(g.vertices):
+                for z in sorted(g.vertices - {s}):
+                    paths = enumerate_paths(g, s, z)
+                    for p in paths:
+                        assert validate_walk(g, p.sequence()) == p
+                        assert p.first == s and p.last == z and p.is_path
+                    keys = [tuple(map(token_key, p.edge_ids)) for p in paths]
+                    assert keys == sorted(set(keys))
+                    assert [(p.vertices, p.edges) for p in paths] == written_out_paths(g, s, z)
+                    total += len(paths)
+        assert total == 5134
+
     def test_enumerate_paths_long_path(self):
         # deeper than the interpreter's default recursion limit
         g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])
         (path,) = enumerate_paths(g, 0, 1200)
         assert path.vertices == tuple(range(1201))
         assert path.labels == tuple(range(1, 1201))
+
+
+def written_out_paths(g, s, z):
+    """The documented order written out recursively: from the last vertex
+    of a path, try its incident edges in edge-id order, skipping an earlier
+    label or a vertex already on the path; a path ends on reaching z."""
+    out = []
+
+    def extend(vertices, edges):
+        for e in sorted(g.incident(vertices[-1]), key=lambda e: token_key(e.eid)):
+            nxt = e.other(vertices[-1])
+            if nxt in vertices or (edges and e.t < edges[-1].t):
+                continue
+            if nxt == z:
+                out.append((vertices + (z,), edges + (e,)))
+            else:
+                extend(vertices + (nxt,), edges + (e,))
+
+    extend((s,), ())
+    return out
 
 
 # Every s,z entry point with the arguments it takes after the terminals.
@@ -241,6 +282,9 @@ class TestMGraph:
             MGraph([("a", "a")])
         with pytest.raises(MalformedInput):
             MGraph([("a", "b", 0)])
+        for links in ([(["a"], "b")], [(1, 2, 3, 4)], [("a",)], [("a", "b", True)], {("a",): 1}):
+            with pytest.raises(MalformedInput):
+                MGraph(links)
 
     def test_underlying_of_temporal(self, demo):
         mg = demo.graph.underlying()
