@@ -401,6 +401,31 @@ def walk_from_labels(g: TemporalGraph, sequence: Sequence) -> TemporalWalk:
     return validate_walk(g, resolved)
 
 
+def check_family(g: TemporalGraph, s: Vertex, z: Vertex, family, items) -> None:
+    """Check a solver's family of s,z-paths before it is returned.
+
+    Every walk must replay through :func:`validate_walk` to itself and be
+    a path from *s* to *z*, and ``items(walk)`` (its labels or edge ids)
+    must share nothing with any other walk's.  A violation is a fault of
+    the solver, not of the input, so it raises :class:`AssertionError`
+    explicitly, which ``python -O`` does not strip.
+    """
+    used: set = set()
+    for walk in family:
+        try:
+            replayed = validate_walk(g, walk.sequence())
+        except MalformedInput:
+            replayed = None
+        if replayed != walk:
+            raise AssertionError(f"walk {walk.pretty()} is not in the graph")
+        if not (walk.is_path and walk.first == s and walk.last == z):
+            raise AssertionError(f"walk {walk.pretty()} is not an s,z-path")
+        mine = items(walk)
+        if not used.isdisjoint(mine):
+            raise AssertionError(f"walk {walk.pretty()} overlaps an earlier one")
+        used.update(mine)
+
+
 # -- time-respecting reachability ------------------------------------------
 
 
@@ -533,6 +558,15 @@ def check_terminals(g: TemporalGraph, s: Vertex, z: Vertex) -> None:
         raise MalformedInput("terminals must be distinct")
 
 
+def check_integer(name: str, value) -> int:
+    """The type rule of every search bound, returning the bound: an ``int``
+    that is not a ``bool``, as for edge labels (:class:`MalformedInput`
+    naming it)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
     """A time-respecting *s,z*-path, or ``None`` when *z* is unreachable.
 
@@ -623,9 +657,13 @@ def enumerate_paths(
     if s == z:
         return [TemporalWalk((s,), ())]
 
+    by_eid: dict = {}  # each vertex's incident edges, sorted on first entry
+
     def moves(v: Vertex, e: Optional[Edge]) -> Iterator:
         floor = 0 if e is None else e.t
-        for f in sorted(g.incident(v), key=lambda f: token_key(f.eid)):
+        if v not in by_eid:
+            by_eid[v] = sorted(g.incident(v), key=lambda f: token_key(f.eid))
+        for f in by_eid[v]:
             if f.t >= floor:
                 yield f, f.other(v)
 
@@ -836,6 +874,30 @@ class MinorEmbedding:
 
     vertex_map: dict
     link_paths: dict
+
+
+def check_embedding(host: MGraph, pattern: MGraph, emb: MinorEmbedding) -> None:
+    """Check a minor embedding before it is returned: distinct branch
+    images, and for every pattern link of multiplicity m a host path
+    between the images of its ends along links of multiplicity at least m,
+    whose interior avoids the branch images and every other path.  Raises
+    :class:`AssertionError` on a violation, as :func:`check_family` does."""
+    images = list(emb.vertex_map.values())
+    if len(set(images)) != len(images):
+        raise AssertionError("two pattern vertices share a branch image")
+    internals_seen: set = set()
+    for (pu, pv), mult in pattern.links.items():
+        path = emb.link_paths[link_key(pu, pv)]
+        if {path[0], path[-1]} != {emb.vertex_map[pu], emb.vertex_map[pv]}:
+            raise AssertionError(f"link {pu}-{pv}: its path does not join its ends' images")
+        if any(host.multiplicity(a, b) < mult for a, b in zip(path, path[1:])):
+            raise AssertionError(f"link {pu}-{pv}: its path has a link below multiplicity {mult}")
+        inner = set(path[1:-1])
+        if inner & set(images):
+            raise AssertionError(f"link {pu}-{pv}: its path runs through a branch image")
+        if inner & internals_seen:
+            raise AssertionError(f"link {pu}-{pv}: its path meets another path inside")
+        internals_seen |= inner
 
 
 _PATTERN_MAX_VERTICES = 6

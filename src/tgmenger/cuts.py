@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, _walk_avoiding, check_terminals, pair_key
+from .core import TemporalGraph, _walk_avoiding, check_integer, check_terminals, pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
 
@@ -309,13 +309,14 @@ def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple
 def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """The steps all four cut searches share: validate, answer the empty
     cut when *z* is already unreachable, then run the hitting-set search
-    over the candidates.  ``h=None`` asks for a minimum cut.  The first
+    over the candidates.  ``h=None`` asks for a minimum cut; the two
+    at-most searches check that their *h* is an integer.  The first
     walk and the candidates come from the graph's view of the pair, so
     only the search itself is repeated when a pair is asked again.
     """
     if h is not None and h < 0:
         raise MalformedInput("cut size bound must be >= 0")
-    if budget < 0:
+    if check_integer("budget", budget) < 0:
         raise MalformedInput("budget must be at least 0")
     check_terminals(g, s, z)
     view = g._pair(s, z)
@@ -359,7 +360,8 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
         witness = None if picked is None else frozenset(
             c for i, c in enumerate(cand) if picked >> i & 1
         )
-        assert h is not None or witness is not None, "the full candidate set must be a cut"
+        if h is None and witness is None:
+            raise AssertionError("the full candidate set must be a cut")
     return CutResult(
         witness is not None,
         None if witness is None else len(witness),
@@ -380,7 +382,7 @@ def snapshot_cut_at_most(
 ) -> CutResult:
     """Is there a snapshot cut of size at most *h*?  Witness is the
     lexicographically least minimum-size one if so."""
-    return _cut_search(g, s, z, h, budget, multiedge=False)
+    return _cut_search(g, s, z, check_integer("cut size bound", h), budget, multiedge=False)
 
 
 def min_snapshot_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:
@@ -395,7 +397,7 @@ def multiedge_cut_at_most(
     g: TemporalGraph, s, z, h: int, budget: int = DEFAULT_BUDGET
 ) -> CutResult:
     """Is there a multiedge cut of size at most *h*?"""
-    return _cut_search(g, s, z, h, budget, multiedge=True)
+    return _cut_search(g, s, z, check_integer("cut size bound", h), budget, multiedge=True)
 
 
 def min_multiedge_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:

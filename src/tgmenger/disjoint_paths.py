@@ -37,7 +37,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, _walk_back, check_terminals
+from .core import TemporalGraph, _walk_back, check_family, check_integer, check_terminals
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 
 DOT_VERTEX_LIMIT = 500
@@ -58,11 +58,12 @@ SINK = _Sentinel("snk")
 
 
 def check_question(g: TemporalGraph, s, z, k: int, budget: int) -> None:
-    """The input rule of every packing question: the terminal rule, k at
-    least 1 and a budget of at least 0 (:class:`MalformedInput`)."""
-    if k < 1:
+    """The input rule of every packing question: the terminal rule, an
+    integer k of at least 1 and an integer budget of at least 0
+    (:class:`MalformedInput`)."""
+    if check_integer("k", k) < 1:
         raise MalformedInput("k must be at least 1")
-    if budget < 0:
+    if check_integer("budget", budget) < 0:
         raise MalformedInput("budget must be at least 0")
     check_terminals(g, s, z)
 
@@ -306,9 +307,10 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     an endpoint with the one before, so replaying a chain's edges in order
     is the label sweep of :func:`reachable` over the graph of that chain's
     edges: each edge already has a reached endpoint, and the edge that
-    first reaches a vertex is its parent.  The admissibility invariant keeps
-    the k chains' label sets pairwise disjoint, so the paths walked back
-    from z form the required family.
+    first reaches a vertex is its parent.  A chain moves onto the sink only
+    from an edge at z, and the admissibility invariant keeps the k chains'
+    label sets pairwise disjoint, so the paths walked back from z form the
+    required family; :func:`check_family` confirms it before it is returned.
     """
     s, z = product.s, product.z
     trail = []
@@ -331,15 +333,9 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
         for a, b in ((e.u, e.v), (e.v, e.u)):
             if a in via and b not in via:
                 via[b] = e
-    family = []
-    for via in reached_by:
-        assert z in via, "chain must connect the terminals"
-        family.append(_walk_back(via, s, z))
-    seen_labels: set = set()
-    for path in family:
-        assert not (path.label_set & seen_labels), "family must be snapshot disjoint"
-        seen_labels |= path.label_set
-    return tuple(family)
+    family = tuple(_walk_back(via, s, z) for via in reached_by)
+    check_family(product.graph, s, z, family, lambda path: path.label_set)
+    return family
 
 
 def max_snapshot_disjoint(

@@ -15,10 +15,19 @@ arbitrary temporal graph.
 Both public functions run one solve, ``_max_flow``: networkx's
 Edmonds–Karp implementation does the flow work, once per call, and this
 module owns the network shape and the deterministic walk decomposition.
+That decomposition traces each unit of flow from source to sink in one
+pass, following the first flow-carrying arc out of each node, and erases
+loops as it goes: when an edge lands on a vertex already on the path, the
+path is cut back to that vertex, so every unit comes out a path.
+:func:`~tgmenger.core.check_family` checks the family before it is
+returned.
+
 Both return one :class:`FlowResult`; ``injective_connectivity`` adds the
-minimum cut read off the same flow's residual graph and translated back
-into time labels, and ``max_edge_disjoint_paths`` leaves ``cut_labels``
-``None``.
+minimum cut read off the same flow's residual graph: the labels of the
+edges whose unit arcs leave the part reachable from the source.  It is
+certified by its size, which must equal the flow value, and by one sweep
+that finds no s,z-walk once its edges are gone.  ``max_edge_disjoint_paths``
+leaves ``cut_labels`` ``None``.
 """
 
 from __future__ import annotations
@@ -30,8 +39,14 @@ from typing import Optional
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .core import TemporalGraph, TemporalWalk, check_terminals, token_key
-from .cuts import is_snapshot_cut
+from .core import (
+    TemporalGraph,
+    TemporalWalk,
+    _walk_avoiding,
+    check_family,
+    check_terminals,
+    token_key,
+)
 from .errors import NotInjective
 
 _SRC = ("src",)
@@ -93,63 +108,40 @@ def _residual_source_side(net, flow_dict) -> set:
     return side
 
 
-def _trace_units(net, flow_dict, value: int, g: TemporalGraph) -> list:
-    """Split a flow of the given value into unit src→snk walks.
+def _trace_units(net, flow_dict, value: int, g: TemporalGraph, s) -> list:
+    """Split a flow of the given value into unit s,z-paths in one pass.
 
     Each unit greedily follows the first flow-carrying arc in insertion
     order (the network is built deterministically), decrementing as it
-    goes; attached same-layer cycles are walked through and removed later
-    by path shortcutting.
+    goes, and records the vertex it lands on after each edge's inner arc.
+    A landing on a vertex already on the path erases the loop back to it:
+    the edges between two visits of a vertex can be dropped without
+    breaking label monotonicity.
     """
     remaining = {u: dict(vs) for u, vs in flow_dict.items()}
     walks = []
     for _ in range(value):
         node = _SRC
-        nodes = [node]
+        verts, edges, at = [s], [], {s: 0}
         while node != _SNK:
             for succ in net[node]:
                 if remaining[node].get(succ, 0) > 0:
                     remaining[node][succ] -= 1
-                    node = succ
-                    nodes.append(node)
                     break
             else:
                 raise AssertionError("flow conservation broke during tracing")
-        verts = [nodes[1][1]]
-        edges = []
-        at = 2
-        while at < len(nodes):
-            kind = nodes[at][0]
-            if kind == "in":
-                e = g.edge(nodes[at][1])
-                landing = nodes[at + 2]
-                edges.append(e)
-                verts.append(landing[1])
-                at += 3
-            else:
-                at += 1
+            if node[0] == "out":
+                x = succ[1]
+                if x in at:
+                    del verts[at[x] + 1 :], edges[at[x] :]
+                    at = {v: i for i, v in enumerate(verts)}  # rare: rebuild
+                else:
+                    at[x] = len(verts)
+                    verts.append(x)
+                    edges.append(g.edge(node[1]))
+            node = succ
         walks.append(TemporalWalk(tuple(verts), tuple(edges)))
     return walks
-
-
-def _shortcut(walk: TemporalWalk) -> TemporalWalk:
-    """Remove cycles: the edge subsequence between two visits of the same
-    vertex can be dropped without breaking label monotonicity."""
-    verts = list(walk.vertices)
-    edges = list(walk.edges)
-    while True:
-        seen: dict = {}
-        loop = None
-        for i, v in enumerate(verts):
-            if v in seen:
-                loop = (seen[v], i)
-                break
-            seen[v] = i
-        if loop is None:
-            return TemporalWalk(tuple(verts), tuple(edges))
-        i, j = loop
-        del verts[i + 1 : j + 1]
-        del edges[i:j]
 
 
 def _max_flow(g: TemporalGraph, s, z) -> tuple:
@@ -162,12 +154,8 @@ def _max_flow(g: TemporalGraph, s, z) -> tuple:
         return (), None, None
     net = _expanded_network(g, s, z)
     value, flow_dict = nx.maximum_flow(net, _SRC, _SNK, flow_func=edmonds_karp)
-    family = tuple(_shortcut(w) for w in _trace_units(net, flow_dict, value, g))
-    used: set = set()
-    for path in family:
-        assert path.is_path and path.first == s and path.last == z
-        assert not (set(path.edge_ids) & used), "paths must be edge disjoint"
-        used |= set(path.edge_ids)
+    family = tuple(_trace_units(net, flow_dict, value, g, s))
+    check_family(g, s, z, family, lambda path: path.edge_ids)
     return family, net, flow_dict
 
 
@@ -187,7 +175,9 @@ def injective_connectivity(g: TemporalGraph, s, z) -> FlowResult:
     paths are snapshot disjoint when no label repeats), and the cut
     collects the labels of the edges whose unit arcs leave the part of the
     residual graph reachable from the source (all crossings are unit arcs
-    because every other arc's capacity exceeds the flow value).
+    because every other arc's capacity exceeds the flow value).  A cut as
+    large as the family that leaves no s,z-walk proves both optimal, so
+    that is what is checked before they are returned.
     """
     check_terminals(g, s, z)
     seen: set = set()
@@ -198,14 +188,8 @@ def injective_connectivity(g: TemporalGraph, s, z) -> FlowResult:
     family, net, flow_dict = _max_flow(g, s, z)
     if net is None:
         return FlowResult(0, (), frozenset())
-    side_s = _residual_source_side(net, flow_dict)
-    labels = set()
-    for u in side_s:
-        for v in net[u]:
-            if v not in side_s:
-                assert u[0] == "in" and v[0] == "out", "cut must cross unit arcs"
-                labels.add(g.edge(u[1]).t)
-    cut = frozenset(labels)
-    assert len(cut) == len(family), "injective labels make the cut size the flow value"
-    assert is_snapshot_cut(g, s, z, cut)
-    return FlowResult(len(family), family, cut)
+    side = _residual_source_side(net, flow_dict)
+    cut = {g.edge(u[1]) for u in side if u[0] == "in" and ("out", u[1]) not in side}
+    if len(cut) != len(family) or _walk_avoiding(g, s, z, cut) is not None:
+        raise AssertionError("the residual cut is not a snapshot cut of the flow's size")
+    return FlowResult(len(family), family, frozenset(e.t for e in cut))

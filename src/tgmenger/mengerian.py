@@ -41,6 +41,7 @@ from .core import (
     MGraph,
     MinorEmbedding,
     TemporalGraph,
+    check_embedding,
     has_m_topological_minor,
     link_key,
     pair_key,
@@ -127,22 +128,6 @@ def catalog_entry(code: str) -> CatalogEntry:
 # -- embeddings ------------------------------------------------------------------
 
 
-def _validate_embedding(host: MGraph, pattern: MGraph, emb: MinorEmbedding) -> None:
-    images = list(emb.vertex_map.values())
-    assert len(set(images)) == len(images), "branch images must be distinct"
-    internals_seen: set = set()
-    for (pu, pv), mult in pattern.links.items():
-        path = emb.link_paths[link_key(pu, pv)]
-        ends = {path[0], path[-1]}
-        assert ends == {emb.vertex_map[pu], emb.vertex_map[pv]}, "path endpoints"
-        for a, b in zip(path, path[1:]):
-            assert host.multiplicity(a, b) >= mult, "multiplicity along path"
-        inner = set(path[1:-1])
-        assert not inner & set(images), "path internals avoid branch vertices"
-        assert not inner & internals_seen, "paths are internally disjoint"
-        internals_seen |= inner
-
-
 def _witness(host: MGraph, code: str, vertex_map: dict, long_paths: dict) -> MinorWitness:
     """The embedding of shape *code* whose pattern links run along the
     given *long_paths*, each from the image of its key's first vertex to
@@ -157,7 +142,7 @@ def _witness(host: MGraph, code: str, vertex_map: dict, long_paths: dict) -> Min
             path = long_paths.get((pu, pv), (vertex_map[pu], vertex_map[pv]))
         link_paths[pu, pv] = tuple(path)
     emb = MinorEmbedding(dict(vertex_map), link_paths)
-    _validate_embedding(host, entry.shape, emb)
+    check_embedding(host, entry.shape, emb)
     return MinorWitness(entry.code, entry.name, emb)
 
 

@@ -527,13 +527,10 @@ def enumerate_connected_multigraphs(max_vertices: int, max_edges: int) -> list:
 
 def _spread(budget: int, parts: int):
     """All tuples of ``parts`` non-negative ints with sum at most
-    ``budget``."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _spread(budget - first, parts - 1):
-            yield (first,) + rest
+    ``budget``, in lexicographic order."""
+    return (
+        c for c in itertools.product(range(budget + 1), repeat=parts) if sum(c) <= budget
+    )
 
 
 def search_minimal_non_mengerian(max_vertices: int, max_edges: int) -> list:

@@ -15,7 +15,7 @@ from conftest import random_temporal_graph, terminals
 from tgmenger import cuts
 from tgmenger.core import TemporalGraph, _walk_avoiding, link_key, reachable
 from tgmenger.disjoint_paths import max_snapshot_disjoint
-from tgmenger.errors import BudgetExceeded, MissingMultiedge
+from tgmenger.errors import BudgetExceeded, MalformedInput, MissingMultiedge
 from tgmenger.gadgets import clique_gadget, vc_gadget
 from tgmenger.injective_flow import injective_connectivity
 from tgmenger.oracles import brute_force_c, brute_force_multiedge_cut
@@ -165,6 +165,22 @@ class TestSnapshotCut:
         assert cuts._subset_bound(0, 2) == 1
         for n, h in ((55, 12), (40, 7), (2000, 1000), (301, 300), (9, 9)):
             assert cuts._subset_bound(n, h) == sum(math.comb(n, i) for i in range(h + 1))
+
+    @pytest.mark.parametrize(
+        "solve, name",
+        [
+            (partial(cuts.snapshot_cut_at_most, h=1.5), "cut size bound"),
+            (partial(cuts.snapshot_cut_at_most, h="2"), "cut size bound"),
+            (partial(cuts.multiedge_cut_at_most, h=True), "cut size bound"),
+            (partial(cuts.multiedge_cut_at_most, h=None), "cut size bound"),
+            (partial(cuts.snapshot_cut_at_most, h=2, budget=1.5), "budget"),
+            (partial(cuts.min_snapshot_cut, budget=None), "budget"),
+            (partial(cuts.min_multiedge_cut, budget=True), "budget"),
+        ],
+    )
+    def test_bounds_must_be_integers(self, demo, solve, name):
+        with pytest.raises(MalformedInput, match=f"^{name} must be an integer"):
+            solve(demo.graph, demo.s, demo.z)
 
     def test_long_path_does_not_recurse(self):
         g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])

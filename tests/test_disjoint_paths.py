@@ -48,6 +48,21 @@ class TestConstruction:
         with pytest.raises(UnknownVertex):
             ProductDigraph(g, "s", "nope", 2)
 
+    @pytest.mark.parametrize(
+        "k, budget, name",
+        [
+            (2.5, DEFAULT_BUDGET, "k"),
+            ("2", DEFAULT_BUDGET, "k"),
+            (True, DEFAULT_BUDGET, "k"),
+            (2, 1.5, "budget"),
+            (2, None, "budget"),
+            (2, True, "budget"),
+        ],
+    )
+    def test_bounds_must_be_integers(self, demo, k, budget, name):
+        with pytest.raises(MalformedInput, match=f"^{name} must be an integer"):
+            max_snapshot_disjoint(demo.graph, "s", "z", k, budget)
+
     def test_tuple_bound(self, demo):
         prod = build_product(demo.graph, "s", "z", 2)
         assert prod.tuple_bound == (len(demo.graph.edges) + 2) ** 2

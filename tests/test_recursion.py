@@ -18,8 +18,6 @@ BOUNDED_RECURSIONS = {
     # One level per path vertex in _structural_paths: at most 8, the
     # vertex cap canonical_form enforces before the sweep runs.
     ("oracles", "go"),
-    # One level per link of a base graph in enumerate_connected_multigraphs.
-    ("oracles", "_spread"),
 }
 
 
