@@ -8,8 +8,9 @@ labels, except that several coordinates may sit on the same sentinel.
 One move advances a single coordinate — one holding the minimum label —
 along the relation "shares an endpoint, label does not decrease"; source
 moves onto edges at s, and edges at z may move onto the sink.  Each
-member's moves come from the incidence lists of its endpoints, and a move
-is admissible when no other coordinate holds its label.
+member's moves come from the suffixes of its endpoints' incidence lists
+that start at its label (the lists are sorted by label, so bisection finds
+them), and a move is admissible when no other coordinate holds its label.
 
 The all-source tuple reaches the all-sink tuple iff the k-family exists;
 the per-coordinate move sequences then carry pairwise disjoint label sets,
@@ -19,8 +20,11 @@ reaches each vertex, reads off an actual path per coordinate.
 Every move rule depends only on which members a tuple holds, not on their
 order, so the decision searches sorted tuples, one per permutation class
 (orbit) of ordered tuples: symmetry reduction, which reaches the all-sink
-tuple iff the ordered search does.  ``build_product``, ``contains`` and
-the DOT dump stay on ordered tuples, the paper's construction.
+tuple iff the ordered search does.  A move takes one member out of a
+sorted tuple and inserts its successor by bisection, so successors stay
+sorted without a sort, and the replay reads each move back with one merge
+of the two sorted tuples.  ``build_product``, ``contains`` and the DOT
+dump stay on ordered tuples, the paper's construction.
 
 One breadth-first search, given the move generator, serves the decision
 over orbits, which stops at the first sight of the all-sink tuple, the
@@ -33,14 +37,17 @@ more tuples than the budget.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .core import TemporalGraph, _walk_back, check_family, check_integer, check_terminals
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 
 DOT_VERTEX_LIMIT = 500
+_LABEL = attrgetter("t")
 
 
 class _Sentinel:
@@ -77,7 +84,9 @@ def _moves(view) -> tuple:
     member m+1 the sink token.  The sentinels' labels, 0 and lifetime + 1,
     belong to them alone.  A member moves onto the edges that share an
     endpoint with it and carry no smaller label, in member order; an edge
-    at z also onto the sink.
+    at z also onto the sink.  An endpoint's incidence list is sorted by
+    label, so those edges are the suffix that bisection finds at the
+    member's label.
     """
     g, s, z = view.graph, view.s, view.z
     edges = g.sorted_edges()
@@ -88,7 +97,9 @@ def _moves(view) -> tuple:
     index.update((e.eid, i) for i, e in enumerate(edges, start=1))
     succ = [tuple(sorted(index[e.eid] for e in g.incident(s)))]
     for i, e in enumerate(edges, start=1):
-        near = {index[f.eid] for f in g.incident(e.u) + g.incident(e.v) if f.t >= e.t}
+        at_u, at_v, t = g.incident(e.u), g.incident(e.v), e.t
+        later = at_u[bisect_left(at_u, t, key=_LABEL) :] + at_v[bisect_left(at_v, t, key=_LABEL) :]
+        near = {index[f.eid] for f in later}
         near.discard(i)
         succ.append(tuple(sorted(near)) + ((m + 1,) if e.touches(z) else ()))
     succ.append(())
@@ -164,18 +175,21 @@ class ProductDigraph:
     def orbit_successors(self, vt: tuple) -> list:
         """The sorted one-move extensions of the sorted tuple *vt*, in move
         order.  Its minimum-label member is unique, or a repeated sentinel
-        whose copies all make the same moves, so one member advances and
-        each result is re-sorted: the orbits of :meth:`successors`."""
+        whose copies all make the same moves, so one member advances: it
+        leaves the tuple, whose rest stays sorted, and each move inserts
+        its successor there by bisection.  These are the orbits of
+        :meth:`successors`."""
         lam, snk = self.lam, self.snk_ix
         ix = min(vt, key=lam.__getitem__)
         pos = vt.index(ix)
         rest = vt[:pos] + vt[pos + 1 :]
         taken = {lam[o] for o in rest}
-        return [
-            tuple(sorted(rest + (j,)))
-            for j in self.succ[ix]
-            if j == snk or lam[j] not in taken
-        ]
+        out = []
+        for j in self.succ[ix]:
+            if j == snk or lam[j] not in taken:
+                at = bisect_right(rest, j)
+                out.append(rest[:at] + (j,) + rest[at:])
+        return out
 
     def _ordered_moves(self, vt: tuple) -> list:
         return [nxt for _, _, nxt in self.successors(vt)]
@@ -243,10 +257,13 @@ def _search(
     already reached tuples included.  Every reached tuple, the start
     included, costs one unit of the product's budget; :class:`BudgetExceeded`
     is raised once more than that is spent, :class:`LimitExceeded` once
-    more than *limit* tuples are reached.
+    more than *limit* tuples are reached.  Each reached tuple is compared
+    with the one cap ``min(budget, limit)``; only past it is the bound
+    that was passed told apart, the budget first.
     """
     if product.budget < 1:
         raise BudgetExceeded(1, product.budget, "product search")
+    cap = min(product.budget, limit)
     parents: dict = {product.start: None}
     arcs = 0
     queue = deque([product.start])
@@ -257,9 +274,9 @@ def _search(
             if nxt in parents:
                 continue
             parents[nxt] = cur
-            if len(parents) > product.budget:
-                raise BudgetExceeded(len(parents), product.budget, "product search")
-            if len(parents) > limit:
+            if len(parents) > cap:
+                if len(parents) > product.budget:
+                    raise BudgetExceeded(len(parents), product.budget, "product search")
                 raise LimitExceeded(limit, "product tuples in DOT dump")
             if nxt == goal:
                 return parents, arcs
@@ -293,15 +310,37 @@ class PathsResult:
     arcs_explored: int
 
 
+def _move(prev: tuple, cur: tuple) -> tuple:
+    """The member that leaves the sorted tuple *prev* and the one that
+    arrives in the sorted tuple *cur*, one move later: the one member left
+    unmatched on each side by a merge of the two.  Copies of a sentinel
+    match one for one, so a source copy that leaves or a sink copy that
+    arrives is read like any other member."""
+    leaving = arrived = None
+    i = j = 0
+    k = len(prev)
+    while i < k or j < k:
+        if i < k and j < k and prev[i] == cur[j]:
+            i += 1
+            j += 1
+        elif j == k or (i < k and prev[i] < cur[j]):
+            leaving = prev[i]
+            i += 1
+        else:
+            arrived = cur[j]
+            j += 1
+    return leaving, arrived
+
+
 def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     """Recover one temporal path per chain from the goal's ancestry.
 
     The moves are replayed on k chains, all starting at the source.  A move
-    is read off a sorted tuple and its parent as a multiset difference:
-    one member leaves and one arrives, and the arriving member extends the
-    first chain that holds the leaving one.  Real members carry pairwise
-    distinct labels, so only chains still at the source can tie, and those
-    are interchangeable.
+    is read off a sorted tuple and its parent by :func:`_move`: one member
+    leaves and one arrives, and the arriving member extends the first chain
+    that holds the leaving one.  Real members carry pairwise distinct
+    labels, so only chains still at the source can tie, and those are
+    interchangeable.
 
     A chain's labels never decrease, and each move lands on an edge sharing
     an endpoint with the one before, so replaying a chain's edges in order
@@ -322,8 +361,7 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     held = list(product.start)
     reached_by: list = [{s: None} for _ in range(product.k)]
     for prev, cur in reversed(trail):
-        (leaving,) = Counter(prev) - Counter(cur)
-        (arrived,) = Counter(cur) - Counter(prev)
+        leaving, arrived = _move(prev, cur)
         chain = held.index(leaving)
         held[chain] = arrived
         if arrived == product.snk_ix:

@@ -1,6 +1,7 @@
 """Snapshot-disjoint path packing through the product digraph."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from tgmenger.disjoint_paths import (
     SINK,
     SOURCE,
     ProductDigraph,
+    _move,
     _search,
     build_product,
     max_snapshot_disjoint,
@@ -24,7 +26,8 @@ from tgmenger.errors import (
     MalformedInput,
     UnknownVertex,
 )
-from tgmenger.oracles import brute_force_p
+from tgmenger.gadgets import indep_set_gadget
+from tgmenger.oracles import brute_force_p, enumerate_simple_graphs
 
 
 def assert_valid_family(g, s, z, family, k):
@@ -324,11 +327,31 @@ def test_successors_follow_the_move_rule(seed, k):
     for vt in prod.reachable_tuples:
         assert prod.successors(vt) == written_out_moves(prod, vt)
         assert prod.is_valid(vt)
-        # the orbit moves are the orbits of the ordered moves
+        # the orbit moves are the ordered moves of the same sorted tuple,
+        # each sorted, in move order and without repeats: the search's
+        # order, and so every witness, rests on this order
         orbit = tuple(sorted(vt))
-        assert set(prod.orbit_successors(orbit)) == {
-            tuple(sorted(nxt)) for _, _, nxt in prod.successors(vt)
-        }
+        assert prod.orbit_successors(orbit) == list(
+            dict.fromkeys(tuple(sorted(nxt)) for _, _, nxt in prod.successors(orbit))
+        )
+
+
+def test_the_replay_reads_each_move_off_two_sorted_tuples():
+    # A move takes one member out of a sorted tuple and inserts another;
+    # the two tuples share a repeated member only when one of several
+    # source copies leaves or one more sink copy arrives.
+    src, snk = 0, 9
+    assert _move((src, src, 5), (src, 5, 7)) == (src, 7)
+    assert _move((src, src, src), (src, src, 3)) == (src, 3)
+    assert _move((5, snk, snk), (snk, snk, snk)) == (5, snk)
+    members = range(5)
+    for prev in itertools.combinations_with_replacement(members, 3):
+        for pos, leaving in enumerate(prev):
+            rest = prev[:pos] + prev[pos + 1 :]
+            for arrived in members:
+                if arrived != leaving:
+                    cur = tuple(sorted(rest + (arrived,)))
+                    assert _move(prev, cur) == (leaving, arrived)
 
 
 def corpus():
@@ -397,3 +420,33 @@ def test_answers_match_recorded_digest():
     for key in corpus_answers():
         digest.update(repr(key).encode())
     assert digest.hexdigest() == ANSWER_DIGEST
+
+
+# sha256 of the packing answers on the independent-set gadgets, recorded
+# before the product search's per-step rewrite (moves from label-sorted
+# suffixes, sorted insertion, one cap, the replay's merge) and held by it.
+GADGET_ANSWER_DIGEST = "b73be71468c9486ea33953b3d87f08849890e5ca727a8b148baa6995e0207273"
+
+
+def gadget_answers():
+    """Every packing decision on the independent-set gadget of each simple
+    graph on 5 vertices, at k = alpha (YES) and alpha + 1 (NO), as the
+    found flag, the family's edge sequences and the counts."""
+    for mg in enumerate_simple_graphs(5):
+        inst = indep_set_gadget(sorted(mg.vertices), sorted(mg.links))
+        alpha = inst.manifest["alpha"]
+        for k in (alpha, alpha + 1):
+            res = max_snapshot_disjoint(inst.graph, inst.s, inst.z, k)
+            yield (
+                res.found,
+                [w.sequence() for w in res.family],
+                res.tuples_materialized,
+                res.arcs_explored,
+            )
+
+
+def test_gadget_answers_match_recorded_digest():
+    digest = hashlib.sha256()
+    for key in gadget_answers():
+        digest.update(repr(key).encode())
+    assert digest.hexdigest() == GADGET_ANSWER_DIGEST
