@@ -8,9 +8,8 @@ labels, except that several coordinates may sit on the same sentinel.
 One move advances a single coordinate — one holding the minimum label —
 along the relation "shares an endpoint, label does not decrease"; source
 moves onto edges at s, and edges at z may move onto the sink.  Each
-member's moves come from the suffixes of its endpoints' incidence lists
-that start at its label (the lists are sorted by label, so bisection finds
-them), and a move is admissible when no other coordinate holds its label.
+member's moves come from the incidence lists of its endpoints, and a move
+is admissible when no other coordinate holds its label.
 
 The all-source tuple reaches the all-sink tuple iff the k-family exists;
 the per-coordinate move sequences then carry pairwise disjoint label sets,
@@ -22,9 +21,9 @@ order, so the decision searches sorted tuples, one per permutation class
 (orbit) of ordered tuples: symmetry reduction, which reaches the all-sink
 tuple iff the ordered search does.  A move takes one member out of a
 sorted tuple and inserts its successor by bisection, so successors stay
-sorted without a sort, and the replay reads each move back with one merge
-of the two sorted tuples.  ``build_product``, ``contains`` and the DOT
-dump stay on ordered tuples, the paper's construction.
+sorted without a sort, and the replay reads each move back by the same
+rule: the minimum-label member leaves.  ``build_product``, ``contains``
+and the DOT dump stay on ordered tuples, the paper's construction.
 
 One breadth-first search, given the move generator, serves the decision
 over orbits, which stops at the first sight of the all-sink tuple, the
@@ -37,17 +36,15 @@ more tuples than the budget.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 from .core import TemporalGraph, _walk_back, check_family, check_integer, check_terminals
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 
 DOT_VERTEX_LIMIT = 500
-_LABEL = attrgetter("t")
 
 
 class _Sentinel:
@@ -84,9 +81,7 @@ def _moves(view) -> tuple:
     member m+1 the sink token.  The sentinels' labels, 0 and lifetime + 1,
     belong to them alone.  A member moves onto the edges that share an
     endpoint with it and carry no smaller label, in member order; an edge
-    at z also onto the sink.  An endpoint's incidence list is sorted by
-    label, so those edges are the suffix that bisection finds at the
-    member's label.
+    at z also onto the sink.
     """
     g, s, z = view.graph, view.s, view.z
     edges = g.sorted_edges()
@@ -97,9 +92,7 @@ def _moves(view) -> tuple:
     index.update((e.eid, i) for i, e in enumerate(edges, start=1))
     succ = [tuple(sorted(index[e.eid] for e in g.incident(s)))]
     for i, e in enumerate(edges, start=1):
-        at_u, at_v, t = g.incident(e.u), g.incident(e.v), e.t
-        later = at_u[bisect_left(at_u, t, key=_LABEL) :] + at_v[bisect_left(at_v, t, key=_LABEL) :]
-        near = {index[f.eid] for f in later}
+        near = {index[f.eid] for f in g.incident(e.u) + g.incident(e.v) if f.t >= e.t}
         near.discard(i)
         succ.append(tuple(sorted(near)) + ((m + 1,) if e.touches(z) else ()))
     succ.append(())
@@ -257,13 +250,10 @@ def _search(
     already reached tuples included.  Every reached tuple, the start
     included, costs one unit of the product's budget; :class:`BudgetExceeded`
     is raised once more than that is spent, :class:`LimitExceeded` once
-    more than *limit* tuples are reached.  Each reached tuple is compared
-    with the one cap ``min(budget, limit)``; only past it is the bound
-    that was passed told apart, the budget first.
+    more than *limit* tuples are reached.
     """
     if product.budget < 1:
         raise BudgetExceeded(1, product.budget, "product search")
-    cap = min(product.budget, limit)
     parents: dict = {product.start: None}
     arcs = 0
     queue = deque([product.start])
@@ -274,9 +264,9 @@ def _search(
             if nxt in parents:
                 continue
             parents[nxt] = cur
-            if len(parents) > cap:
-                if len(parents) > product.budget:
-                    raise BudgetExceeded(len(parents), product.budget, "product search")
+            if len(parents) > product.budget:
+                raise BudgetExceeded(len(parents), product.budget, "product search")
+            if len(parents) > limit:
                 raise LimitExceeded(limit, "product tuples in DOT dump")
             if nxt == goal:
                 return parents, arcs
@@ -310,37 +300,17 @@ class PathsResult:
     arcs_explored: int
 
 
-def _move(prev: tuple, cur: tuple) -> tuple:
-    """The member that leaves the sorted tuple *prev* and the one that
-    arrives in the sorted tuple *cur*, one move later: the one member left
-    unmatched on each side by a merge of the two.  Copies of a sentinel
-    match one for one, so a source copy that leaves or a sink copy that
-    arrives is read like any other member."""
-    leaving = arrived = None
-    i = j = 0
-    k = len(prev)
-    while i < k or j < k:
-        if i < k and j < k and prev[i] == cur[j]:
-            i += 1
-            j += 1
-        elif j == k or (i < k and prev[i] < cur[j]):
-            leaving = prev[i]
-            i += 1
-        else:
-            arrived = cur[j]
-            j += 1
-    return leaving, arrived
-
-
 def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     """Recover one temporal path per chain from the goal's ancestry.
 
-    The moves are replayed on k chains, all starting at the source.  A move
-    is read off a sorted tuple and its parent by :func:`_move`: one member
-    leaves and one arrives, and the arriving member extends the first chain
-    that holds the leaving one.  Real members carry pairwise distinct
-    labels, so only chains still at the source can tie, and those are
-    interchangeable.
+    The moves are replayed on k chains, all starting at the source.  Each
+    move is read off a sorted tuple and its parent by the search's own
+    rule: the minimum-label member of the parent leaves, and the arriving
+    member sits where the child first differs from the parent's rest (at
+    the end if nowhere, as when one more sink copy arrives).  It extends
+    the first chain that holds the leaving member.  Real members carry
+    pairwise distinct labels, so only chains still at the source can tie,
+    and those are interchangeable.
 
     A chain's labels never decrease, and each move lands on an edge sharing
     an endpoint with the one before, so replaying a chain's edges in order
@@ -361,7 +331,10 @@ def _extract_family(product: ProductDigraph, parents: dict) -> tuple:
     held = list(product.start)
     reached_by: list = [{s: None} for _ in range(product.k)]
     for prev, cur in reversed(trail):
-        leaving, arrived = _move(prev, cur)
+        leaving = min(prev, key=product.lam.__getitem__)
+        at = prev.index(leaving)
+        rest = prev[:at] + prev[at + 1 :]
+        arrived = next((c for c, r in zip(cur, rest) if c != r), cur[-1])
         chain = held.index(leaving)
         held[chain] = arrived
         if arrived == product.snk_ix:

@@ -1,7 +1,6 @@
 """Snapshot-disjoint path packing through the product digraph."""
 
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -14,7 +13,7 @@ from tgmenger.disjoint_paths import (
     SINK,
     SOURCE,
     ProductDigraph,
-    _move,
+    _extract_family,
     _search,
     build_product,
     max_snapshot_disjoint,
@@ -331,27 +330,35 @@ def test_successors_follow_the_move_rule(seed, k):
         # each sorted, in move order and without repeats: the search's
         # order, and so every witness, rests on this order
         orbit = tuple(sorted(vt))
+        assert set(prod.orbit_successors(orbit)) == {
+            tuple(sorted(nxt)) for _, _, nxt in prod.successors(vt)
+        }
         assert prod.orbit_successors(orbit) == list(
             dict.fromkeys(tuple(sorted(nxt)) for _, _, nxt in prod.successors(orbit))
         )
 
 
-def test_the_replay_reads_each_move_off_two_sorted_tuples():
-    # A move takes one member out of a sorted tuple and inserts another;
-    # the two tuples share a repeated member only when one of several
-    # source copies leaves or one more sink copy arrives.
-    src, snk = 0, 9
-    assert _move((src, src, 5), (src, 5, 7)) == (src, 7)
-    assert _move((src, src, src), (src, src, 3)) == (src, 3)
-    assert _move((5, snk, snk), (snk, snk, snk)) == (5, snk)
-    members = range(5)
-    for prev in itertools.combinations_with_replacement(members, 3):
-        for pos, leaving in enumerate(prev):
-            rest = prev[:pos] + prev[pos + 1 :]
-            for arrived in members:
-                if arrived != leaving:
-                    cur = tuple(sorted(rest + (arrived,)))
-                    assert _move(prev, cur) == (leaving, arrived)
+def test_the_replay_reads_moves_that_share_a_repeated_sentinel():
+    # Three label-disjoint routes: the search's trail starts with moves in
+    # which one of several source copies leaves and ends with moves in
+    # which one more sink copy arrives, the only moves whose two sorted
+    # tuples share a repeated member.  Each chain must still get its route.
+    routes = {"a": (1, 2), "b": (3, 4), "c": (5, 6)}
+    edges = []
+    for v, (t1, t2) in routes.items():
+        edges += [(len(edges), "s", v, t1), (len(edges) + 1, v, "z", t2)]
+    g = TemporalGraph(edges)
+    prod = ProductDigraph(g, "s", "z", 3)
+    parents, _ = _search(prod, prod.orbit_successors, prod.goal)
+    src, snk = 0, prod.snk_ix
+    assert parents[(src, src, 1)] == (src, src, src)
+    assert parents[(src, 1, 3)] == (src, src, 1)
+    assert parents[(5, snk, snk)] == (4, 5, snk)
+    assert parents[(snk, snk, snk)] == (6, snk, snk)
+    family = _extract_family(prod, parents)
+    assert sorted(w.sequence() for w in family) == [
+        ("s", 2 * i, v, 2 * i + 1, "z") for i, v in enumerate(routes)
+    ]
 
 
 def corpus():
