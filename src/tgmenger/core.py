@@ -14,7 +14,7 @@ from a source it gives earliest arrivals and the parent edges of
 departures.  This is the label-ordered edge-stream pass of Wu et al.,
 "Path Problems in Temporal Graphs" (PVLDB 2014).  The sweep can skip a
 removal mask, a set of edges, and stop as soon as a target is reached, so
-the cut checks ask "is *z* still reachable once these labels or
+the cut predicates ask "is *z* still reachable once these labels or
 multiedges are gone?" of the graph itself instead of rebuilding it
 without them.
 
@@ -23,7 +23,8 @@ one view of that pair, kept by the graph for the last pair it was asked
 about and built lazily: the full forward sweep from *s* with its first
 s,z-walk, the edges on some s,z-walk (which alone need the backward
 sweep from *z*), and whatever a solver module derives from those, such as
-the cut candidates and the product's move tables.  Repeated questions on
+the cut candidates with the table of their edges that the cut search
+sweeps, and the product's move tables.  Repeated questions on
 one pair share that work; a question on another pair replaces the view,
 so a graph holds at most one pair's derived data.  Copies and pickles
 leave it out.

@@ -11,10 +11,13 @@ masks (the candidates each s,z-path uses), with the masks learnt lazily
 from reachability checks instead of listed up front.  Minimal cuts only
 use candidates, and a subset cuts the graph iff it hits every path mask.
 
-* Seed: the first s,z-path and the candidates come from the graph's
-  view of the terminal pair, built once for all questions on that pair.
-  Each check is one masked sweep of the graph that returns an s,z-path
-  avoiding the removed candidates, so no check rebuilds the graph.
+* Seed: the candidates come from the graph's view of the terminal pair,
+  built once for all questions on that pair, with a table of the edges
+  on some s,z-walk: grouped by label in increasing order, each with its
+  candidate's bit.  Each check is one sweep of that table that skips the
+  picked candidates' bits and returns the bits along the s,z-path it
+  finds, the path :func:`core.reachable` finds once those candidates'
+  edges are removed, so no check rebuilds the graph or the path.
   Removing each found path's candidates in turn yields pairwise
   disjoint masks, a lower bound on the cut size; more than *h* of them
   answer no at once.  If every seed mask is a single candidate, their
@@ -25,10 +28,12 @@ use candidates, and a subset cuts the graph iff it hits every path mask.
   out): child j picks that mask's j-th live bit and rules out the ones
   before it, so no subset is reached twice within a size.  A node is
   dropped when a mask has no live bit left, or when more masks than it
-  may still pick have pairwise disjoint live bits.  A subset that hits
-  every known mask is checked; if it is no cut, the check's path gives a
-  new mask that misses the subset and all its ancestors, so every open
-  node learns it and the search goes on from the same node.
+  may still pick have pairwise disjoint live bits.  One pass over the
+  parent's unhit masks keeps those the new bit misses and finds the bits
+  to branch on.  A subset that hits every known mask is checked; if it
+  is no cut, the check's path gives a new mask that misses the subset
+  and all its ancestors, so every open node learns it and the search
+  goes on from the same node.
 * Witness: only on a yes, by self-reduction at exactly that minimum
   size.  The candidate indices are taken in increasing order: each joins
   the prefix when some cut of that size holds the prefix and it but no
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import TemporalGraph, _walk_avoiding, check_integer, check_terminals, pair_key
@@ -86,20 +92,64 @@ class CutResult:
     engine: str
 
 
+def _candidate_table(view, key, order) -> tuple:
+    """The candidates of a pair's view, the distinct ``key(e)`` of its
+    useful edges sorted by *order*, and the table its cut checks sweep:
+    the useful edges grouped by label in increasing order, in construction
+    order within a label, each as ``(u, v, bit of its candidate)``."""
+    keys = [key(e) for e in view.useful]
+    cand = tuple(sorted(set(keys), key=order))
+    pos = {c: 1 << i for i, c in enumerate(cand)}
+    by_label: dict = {}
+    for e, c in zip(view.useful, keys):
+        by_label.setdefault(e.t, []).append((e.u, e.v, pos[c]))
+    return cand, tuple(by_label[t] for t in sorted(by_label))
+
+
 def _label_candidates(view) -> tuple:
     """The candidate labels of a pair's view, in increasing order, with
-    each one's snapshot and bit."""
-    cand = tuple(sorted({e.t for e in view.useful}))
-    edges_of = [view.graph.snapshot(t) for t in cand]
-    return cand, edges_of, {c: 1 << i for i, c in enumerate(cand)}
+    the table of their bits."""
+    return _candidate_table(view, lambda e: e.t, None)
 
 
 def _multiedge_candidates(view) -> tuple:
     """The candidate multiedges of a pair's view, as canonical vertex pairs
-    in order, with each one's parallel edges and bit."""
-    cand = tuple(sorted({e.pair for e in view.useful}, key=pair_key))
-    edges_of = [view.graph.multiedge(*pair) for pair in cand]
-    return cand, edges_of, {c: 1 << i for i, c in enumerate(cand)}
+    in order, with the table of their bits."""
+    return _candidate_table(view, lambda e: e.pair, pair_key)
+
+
+def _escape(table, s, z, picked: int) -> Optional[int]:
+    """The cut check of the hitting-set search: one sweep of a pair's
+    *table* from *s* that skips the edges whose bit is in *picked*, as
+    :func:`core._sweep` skips a removal mask, and stops at *z*.  Returns
+    the OR of the bits along *z*'s parent chain back to *s*, or ``None``
+    when *picked* is a cut.
+
+    Each reached vertex keeps the bits of its own chain.  The chain is
+    that of :func:`core._walk_avoiding` with those candidates' edges
+    removed: an edge outside the table reaches only vertices that cannot
+    reach *z* from that label on, so it is never a parent on the chain.
+    """
+    chain = {s: 0}
+    for snap in table:
+        changed = True
+        while changed:
+            changed = False
+            for u, v, bit in snap:
+                if bit & picked:
+                    continue
+                if u in chain:
+                    if v not in chain:
+                        m = chain[v] = chain[u] | bit
+                        if v == z:
+                            return m
+                        changed = True
+                elif v in chain:
+                    m = chain[u] = chain[v] | bit
+                    if u == z:
+                        return m
+                    changed = True
+    return None
 
 
 def candidate_labels(g: TemporalGraph, s, z) -> tuple:
@@ -111,9 +161,15 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
 
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
     """Does removing every edge at the given labels separate z from s?
-    Labels not in the graph remove nothing."""
+    Labels not in the graph remove nothing; an unhashable one raises
+    :class:`MalformedInput` naming it."""
     check_terminals(g, s, z)
-    removed = {e for t in set(labels) for e in g.snapshot(t)}
+    removed: set = set()
+    for t in labels:
+        try:
+            removed.update(g.snapshot(t))
+        except TypeError:
+            raise MalformedInput(f"label {t!r} is unhashable") from None
     return _walk_avoiding(g, s, z, removed) is None
 
 
@@ -127,9 +183,16 @@ def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
     """Does removing the given multiedges separate z from s?  A pair may
     come in either orientation; one that is not a multiedge raises
-    :class:`MissingMultiedge`."""
+    :class:`MissingMultiedge`, and an item that is not two hashable
+    vertices raises :class:`MalformedInput` naming it."""
     check_terminals(g, s, z)
-    removed = {e for pair in pairs for e in g.multiedge(*pair)}
+    removed: set = set()
+    for pair in pairs:
+        try:
+            u, v = pair
+            removed.update(g.multiedge(u, v))
+        except (TypeError, ValueError):
+            raise MalformedInput(f"multiedge item {pair!r} is not a pair of vertices") from None
     return _walk_avoiding(g, s, z, removed) is None
 
 
@@ -146,33 +209,38 @@ def _subset_bound(n: int, h: int) -> int:
 # -- the lazy hitting-set engine -----------------------------------------------
 
 
-def _branch_bits(unhit: list, excluded: int, left: int) -> int:
-    """The bits to branch on at a node whose picked bits miss the *unhit*
-    masks, with the *excluded* bits ruled out and *left* more picks
-    allowed: the live bits (those not excluded) of the unhit mask with the
-    fewest, or 0 when no extension of the node hits every mask.  That is
-    so when a mask has no live bit, or when more than *left* masks have
-    pairwise disjoint live bits.
+def _branch(unhit: list, bit: int, excluded: int, left: int) -> tuple:
+    """One search step over a node's *unhit* masks once the bits in *bit*
+    are picked, with the *excluded* bits ruled out and *left* more picks
+    allowed.  Returns the masks still unhit, ``rest``, and the bits to
+    branch on: the live bits (those not excluded) of the first mask of
+    ``rest`` with the fewest, or 0 when no extension hits every mask.
+    That is so when a mask has no live bit, or when more than *left*
+    masks, taken greedily in list order, have pairwise disjoint live
+    bits.  ``rest`` is cut short once the answer is 0, but is empty only
+    when every mask is hit.
     """
-    if left == 0:
-        return 0
+    rest = []
     best = 0
     fewest = math.inf
     union = 0
     disjoint = 0
     for m in unhit:
+        if m & bit:
+            continue
+        rest.append(m)
         live = m & ~excluded
         if not live:
-            return 0
+            return rest, 0
         if not live & union:
             disjoint += 1
             if disjoint > left:
-                return 0
+                return rest, 0
             union |= live
         count = live.bit_count()
         if count < fewest:
             best, fewest = live, count
-    return best
+    return rest, best
 
 
 class _HittingSearch:
@@ -208,17 +276,17 @@ class _HittingSearch:
         b_1..b_{j-1}, so no subset is reached twice.
         """
         known = self.known
-        unhit = [m for m in known if not m & picked]
+        left = size - picked.bit_count()
+        unhit, todo = _branch(known, picked, excluded, left)
         if not unhit:
             self.visit(picked)
             m = self.check(picked)
             if m is None:
                 return picked
             known.append(m)
-            unhit = [m]
-        left = size - picked.bit_count()
+            unhit, todo = _branch([m], 0, excluded, left)
         # frame: [picked, excluded, picks left, masks unhit, bits to try]
-        stack = [[picked, excluded, left, unhit, _branch_bits(unhit, excluded, left)]]
+        stack = [[picked, excluded, left, unhit, todo]]
         while stack:
             frame = stack[-1]
             picked, excluded, left, unhit, todo = frame
@@ -230,7 +298,7 @@ class _HittingSearch:
             frame[4] = todo ^ bit
             picked |= bit
             self.visit(picked)
-            rest = [m for m in unhit if not m & bit]
+            rest, todo = _branch(unhit, bit, excluded, left - 1)
             if not rest:
                 m = self.check(picked)
                 if m is None:
@@ -240,8 +308,7 @@ class _HittingSearch:
                 known.append(m)
                 for f in stack:
                     f[3].append(m)
-                rest = [m]
-            todo = _branch_bits(rest, excluded, left - 1)
+                rest, todo = _branch([m], 0, excluded, left - 1)
             if todo:
                 stack.append([picked, excluded, left - 1, rest, todo])
         return None
@@ -276,8 +343,10 @@ def _hitting_search(n: int, most: int, first: int, escape, budget: int) -> tuple
 
     ``escape(picked)`` returns the mask of an s,z-path that uses none of
     the candidates in the bit set *picked*, or ``None`` when *picked* is a
-    cut; *first* is the mask of the path found with nothing removed.  Each
-    search node visited and each call of *escape* costs one unit, and
+    cut; for a pair of a graph that is :func:`_escape` over the pair's
+    table.  *first* is ``escape(0)``, the mask of the path found with
+    nothing removed, and is not charged.  Each search node visited and
+    each later call of *escape* costs one unit, and
     :class:`BudgetExceeded` is raised once more than *budget* are spent.
     The count of distinct subsets is at most ``_subset_bound(n, most)``.
     Each decision keeps an explicit stack and the witness phase is a loop
@@ -320,42 +389,17 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
         raise MalformedInput("budget must be at least 0")
     check_terminals(g, s, z)
     view = g._pair(s, z)
-    walk = view.walk
-    if walk is None:
+    if view.walk is None:
         witness, cand, checked, bound = frozenset(), (), 0, 1
     else:
-        cand, edges_of, pos = view.derived(
+        cand, table = view.derived(
             _multiedge_candidates if multiedge else _label_candidates
         )
-
-        def mask(path) -> int:
-            m = 0
-            for c in path.multiedge_pairs if multiedge else path.label_set:
-                m |= pos[c]
-            return m
-
-        # The removed edges of the last check, reused when the next one
-        # removes a superset, as every seed check after the first does.
-        removed: set = set()
-        last = 0
-
-        def escape(picked: int) -> Optional[int]:
-            nonlocal last
-            if picked & last != last:
-                removed.clear()
-                last = 0
-            new, last = picked & ~last, picked
-            while new:
-                bit = new & -new
-                removed.update(edges_of[bit.bit_length() - 1])
-                new ^= bit
-            path = _walk_avoiding(g, s, z, removed)
-            return None if path is None else mask(path)
-
+        escape = partial(_escape, table, s, z)
         max_size = len(cand) if h is None else h
         bound = _subset_bound(len(cand), max_size)
         picked, checked = _hitting_search(
-            len(cand), min(max_size, len(cand)), mask(walk), escape, budget
+            len(cand), min(max_size, len(cand)), escape(0), escape, budget
         )
         witness = None if picked is None else frozenset(
             c for i, c in enumerate(cand) if picked >> i & 1

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 from functools import partial
 
@@ -84,6 +85,74 @@ class TestMaskedCheck:
             dropped = {link_key(u, v) for u, v in pairs}
             removed = {e for e in g.edges if e.pair in dropped}
             assert _walk_avoiding(g, s, z, removed) == rebuilt
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_bit_sweep_matches_masked_walk(self, seed):
+        # The search's check sweeps the pair's table of candidate bits; its
+        # mask must be that of the walk the masked graph sweep finds.
+        g = random_temporal_graph(random.Random(seed))
+        rng = random.Random(seed + 6)
+        for s, z in terminals(g):
+            for build, key in (
+                (cuts._label_candidates, lambda e: e.t),
+                (cuts._multiedge_candidates, lambda e: e.pair),
+            ):
+                cand, table = g._pair(s, z).derived(build)
+                n = len(cand)
+                for picked in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(6))):
+                    gone = {c for i, c in enumerate(cand) if picked >> i & 1}
+                    walk = _walk_avoiding(g, s, z, {e for e in g.edges if key(e) in gone})
+                    mask = cuts._escape(table, s, z, picked)
+                    if walk is None:
+                        assert mask is None
+                    else:
+                        used = {key(e) for e in walk.edges}
+                        assert mask == sum(1 << cand.index(c) for c in used)
+
+    def test_one_table_per_kind_and_no_walk_per_check(self, monkeypatch):
+        # Every question on one pair reads the same two tables, and the
+        # searches check subsets by their table alone.
+        inst = vc_gadget(range(4), list(itertools.combinations(range(4), 2)))
+        g, s, z = inst.graph, inst.s, inst.z
+        builds = []
+        for name in ("_label_candidates", "_multiedge_candidates"):
+            build = getattr(cuts, name)
+
+            def counting(view, build=build, name=name):
+                builds.append(name)
+                return build(view)
+
+            monkeypatch.setattr(cuts, name, counting)
+        checks = []
+        escape = cuts._escape
+
+        def counting_escape(*args):
+            checks.append(1)
+            return escape(*args)
+
+        def no_walk(*args):
+            raise AssertionError("a search check walked the graph")
+
+        monkeypatch.setattr(cuts, "_escape", counting_escape)
+        monkeypatch.setattr(cuts, "_walk_avoiding", no_walk)
+        for _ in range(2):
+            assert cuts.candidate_labels(g, s, z)
+            assert cuts.candidate_multiedges(g, s, z)
+            assert cuts.snapshot_cut_at_most(g, s, z, 1).found is False
+            assert cuts.min_snapshot_cut(g, s, z).value == 2
+            assert cuts.multiedge_cut_at_most(g, s, z, 6).found is False
+            assert cuts.min_multiedge_cut(g, s, z).value == 7
+        assert sorted(builds) == ["_label_candidates", "_multiedge_candidates"]
+        assert len(checks) > 8
+
+    def test_malformed_items_are_rejected(self, demo):
+        g, s, z = demo.graph, demo.s, demo.z
+        with pytest.raises(MalformedInput, match=r"label \[1\] is unhashable"):
+            cuts.is_snapshot_cut(g, s, z, [2, [1]])
+        for item in (("s",), ("s", "u", "w"), 5, (["s"], "u")):
+            with pytest.raises(MalformedInput, match=f"multiedge item {re.escape(repr(item))} "):
+                cuts.is_multiedge_cut(g, s, z, [("s", "u"), item])
 
     def test_labels_outside_the_graph_remove_nothing(self, demo):
         g, s, z = demo.graph, demo.s, demo.z
@@ -491,6 +560,66 @@ def test_answers_match_recorded_digest():
         checked += res.subsets_checked
     assert digest.hexdigest() == ANSWER_DIGEST
     assert checked <= SUBSETS_CHECKED
+
+
+# sha256 of (found, value, witness, candidates, subsets_checked) of every
+# search in gadget_work() and in the corpus above: the nodes the search
+# reaches, not only its answers, must stay the same.
+CUT_WORK_DIGEST = "ed659b6760e047bbe338364e2b0611548df0018a2e80fa560bffc43d5beb64ab"
+
+
+def gadget_work():
+    """(search result, witness field) of the cut searches the gadget
+    sweep asks: the vertex-cover gadget on K1-K5 at h = n + tau - 1 and
+    n + tau, the k = 3 clique gadgets at their threshold, and the minimum
+    snapshot cuts of two k = 4 clique gadgets, one YES and one NO."""
+    for n in range(1, 6):
+        inst = vc_gadget(range(n), list(itertools.combinations(range(n), 2)))
+        tau = inst.manifest["tau"]
+        for h in (n + tau - 1, n + tau):
+            res = cuts.multiedge_cut_at_most(inst.graph, inst.s, inst.z, h)
+            yield res, res.multiedges
+    for n, edges, colours in (
+        (4, ((0, 1), (0, 2), (0, 3), (1, 2)), (0, 1, 2, 1)),
+        (4, ((0, 2), (0, 3), (1, 2), (1, 3)), (0, 0, 1, 2)),
+        (5, ((0, 2), (0, 3), (1, 2), (1, 3)), (0, 0, 1, 2, 1)),
+        (3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2)),
+        (3, ((0, 1), (1, 2)), (0, 1, 2)),
+    ):
+        inst = clique_gadget(range(n), edges, {v: f"c{c}" for v, c in enumerate(colours)})
+        h = inst.manifest["cut_threshold"]
+        res = cuts.snapshot_cut_at_most(inst.graph, inst.s, inst.z, h)
+        yield res, res.labels
+    vertices = [f"{c}{i}" for c in "abcd" for i in (1, 2)]
+    two_k4 = [
+        (f"{x}{i}", f"{y}{i}") for i in (1, 2) for x, y in itertools.combinations("abcd", 2)
+    ]
+    crossed = [(f"{x}{i}", f"{y}{i}") for x, y in ("ab", "ac", "bd", "cd") for i in (1, 2)]
+    crossed += [(f"{x}{i}", f"{y}{3 - i}") for x, y in ("ad", "bc") for i in (1, 2)]
+    for edges in (two_k4, crossed):
+        inst = clique_gadget(vertices, edges, {v: v[0] for v in vertices})
+        res = cuts.min_snapshot_cut(inst.graph, inst.s, inst.z)
+        yield res, res.labels
+
+
+def test_search_work_matches_recorded_digest():
+    digest = hashlib.sha256()
+    found = []
+    for res, witness in itertools.chain(
+        gadget_work(), ((res, key[2]) for key, res in corpus_answers())
+    ):
+        key = (
+            res.found,
+            res.value,
+            None if witness is None else sorted(witness, key=repr),
+            res.candidates,
+            res.subsets_checked,
+        )
+        digest.update(repr(key).encode())
+        found.append(res.found)
+    # Both answers occur on the gadgets and in the corpus.
+    assert len(set(found[:17])) == len(set(found[17:])) == 2
+    assert digest.hexdigest() == CUT_WORK_DIGEST
 
 
 @settings(max_examples=60, deadline=None)
