@@ -12,19 +12,18 @@ over that index answers all time-respecting reachability: run forward
 from a source it gives earliest arrivals and the parent edges of
 :func:`reachable`'s witness, run backward from a target it gives latest
 departures.  This is the label-ordered edge-stream pass of Wu et al.,
-"Path Problems in Temporal Graphs" (PVLDB 2014).  The sweep can skip a
-removal mask, a set of edges, and stop as soon as a target is reached, so
-the cut predicates ask "is *z* still reachable once these labels or
-multiedges are gone?" of the graph itself instead of rebuilding it
-without them.
+"Path Problems in Temporal Graphs" (PVLDB 2014).  Every sweep of the
+graph is a full one; the question "is *z* still reachable once these
+labels or multiedges are gone?" is asked of the pair's view instead.
 
-Every solver for a terminal pair asks its questions of the graph through
-one view of that pair, kept by the graph for the last pair it was asked
-about and built lazily: the full forward sweep from *s* with its first
-s,z-walk, the edges on some s,z-walk (which alone need the backward
-sweep from *z*), and whatever a solver module derives from those, such as
-the cut candidates with the table of their edges that the cut search
-sweeps, and the product's move tables.  Repeated questions on
+Every solver for a terminal pair, :func:`reachable` and the cut
+predicates ask their questions of the graph through one view of that
+pair, kept by the graph for the last pair it was asked about and built
+lazily: the full forward sweep from *s* with its first s,z-walk, the
+edges on some s,z-walk (which alone need the backward sweep from *z*),
+and whatever a solver module derives from those, such as the cut
+candidates with the table of their edges that the cut checks sweep, and
+the product's move tables.  Repeated questions on
 one pair share that work; a question on another pair replaces the view,
 so a graph holds at most one pair's derived data.  Copies and pickles
 leave it out.
@@ -49,7 +48,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    AbstractSet,
     Hashable,
     Iterable,
     Iterator,
@@ -356,8 +354,7 @@ def validate_walk(g: TemporalGraph, sequence: Sequence) -> TemporalWalk:
     verts = seq[0::2]
     eids = seq[1::2]
     for v in verts:
-        if v not in g.vertices:
-            raise UnknownVertex(v)
+        check_vertex(g, v)
     edges = []
     prev_t = None
     for i, eid in enumerate(eids):
@@ -430,37 +427,21 @@ def check_family(g: TemporalGraph, s: Vertex, z: Vertex, family, items) -> None:
 # -- time-respecting reachability ------------------------------------------
 
 
-def _sweep(
-    g: TemporalGraph,
-    root: Vertex,
-    forward: bool,
-    removed: AbstractSet[Edge] = frozenset(),
-    target: Optional[Vertex] = None,
-) -> tuple:
-    """One pass over the label index from *root*: forward in increasing
-    label order (walks leaving *root*), backward in decreasing order (walks
-    ending at *root*).
+def _sweep(g: TemporalGraph, root: Vertex, forward: bool) -> tuple:
+    """One full pass over the label index from *root*: forward in
+    increasing label order (walks leaving *root*), backward in decreasing
+    order (walks ending at *root*).
 
     Returns the label at which each vertex was first reached (0 forward,
     infinity backward for *root*) and, for every other vertex reached, the
     edge it was reached by.  Labels are met monotonically, so a vertex
     already reached is always in time for the current snapshot and one
     not yet reached never is.
-
-    Edges in the mask *removed* are skipped.  The survivors of a snapshot
-    keep their construction order, which is the order of the same
-    snapshot in a graph rebuilt without the removed edges, so both sweeps
-    reach the same vertices by the same parent edges.  The pass returns
-    as soon as *target* is reached: a vertex's parent is fixed when it is
-    first reached, so the parent chain back from *target* is already
-    final, but vertices reached later are missing from the result.
     """
     reached = {root: 0 if forward else INF}
     parent: dict = {}
     snapshots = g._snapshots.items()
     for t, snap in snapshots if forward else reversed(snapshots):
-        if removed:
-            snap = [e for e in snap if e not in removed]
         # Within one snapshot several hops at the same label may chain, so
         # iterate to a fixpoint (snapshots are tiny in practice).
         changed = True
@@ -471,8 +452,6 @@ def _sweep(
                     if a in reached and b not in reached:
                         reached[b] = t
                         parent[b] = e
-                        if b == target:
-                            return reached, parent
                         changed = True
     return reached, parent
 
@@ -535,26 +514,34 @@ class _PairView:
 def earliest_arrival(g: TemporalGraph, s: Vertex) -> dict:
     """Earliest label at which each vertex is reachable from *s* (0 for *s*
     itself; unreachable vertices are absent)."""
-    if s not in g.vertices:
-        raise UnknownVertex(s)
+    check_vertex(g, s)
     return _sweep(g, s, forward=True)[0]
 
 
 def latest_departure(g: TemporalGraph, z: Vertex) -> dict:
     """Latest label at which each vertex can still start a walk to *z*
     (infinity for *z* itself; vertices that cannot reach *z* are absent)."""
-    if z not in g.vertices:
-        raise UnknownVertex(z)
+    check_vertex(g, z)
     return _sweep(g, z, forward=False)[0]
+
+
+def check_vertex(g: TemporalGraph, v: Vertex) -> None:
+    """The vertex rule of every public call: *v* is a vertex of *g*, else
+    :class:`UnknownVertex`, an unhashable *v* included."""
+    try:
+        known = v in g.vertices
+    except TypeError:
+        known = False
+    if not known:
+        raise UnknownVertex(v)
 
 
 def check_terminals(g: TemporalGraph, s: Vertex, z: Vertex) -> None:
     """The terminal rule every s,z solver shares: both are vertices of *g*
     (:class:`UnknownVertex`, *s* checked first) and they are distinct
     (:class:`MalformedInput`)."""
-    for v in (s, z):
-        if v not in g.vertices:
-            raise UnknownVertex(v)
+    check_vertex(g, s)
+    check_vertex(g, z)
     if s == z:
         raise MalformedInput("terminals must be distinct")
 
@@ -572,25 +559,15 @@ def reachable(g: TemporalGraph, s: Vertex, z: Vertex) -> Optional[TemporalWalk]:
     """A time-respecting *s,z*-path, or ``None`` when *z* is unreachable.
 
     The witness follows earliest-arrival parent pointers, so it is a path
-    (each vertex is adopted once) with non-decreasing labels.
+    (each vertex is adopted once) with non-decreasing labels.  It is the
+    first walk of the graph's view of the pair, shared with every solver
+    asked about it.
     """
-    if s not in g.vertices:
-        raise UnknownVertex(s)
-    if z not in g.vertices:
-        raise UnknownVertex(z)
+    check_vertex(g, s)
+    check_vertex(g, z)
     if s == z:
         return TemporalWalk((s,), ())
-    return _walk_avoiding(g, s, z)
-
-
-def _walk_avoiding(
-    g: TemporalGraph, s: Vertex, z: Vertex, removed: AbstractSet[Edge] = frozenset()
-) -> Optional[TemporalWalk]:
-    """:func:`reachable`'s witness in *g* with the edges in *removed*
-    deleted, from one masked sweep that stops at *z*; the terminals are
-    distinct vertices of *g*."""
-    ea, parent = _sweep(g, s, True, removed, z)
-    return _walk_back(parent, s, z) if z in ea else None
+    return g._pair(s, z).walk
 
 
 def _walk_back(parent: Mapping, s: Vertex, z: Vertex) -> TemporalWalk:
@@ -651,10 +628,8 @@ def enumerate_paths(
     Note a path cannot pass through *z* and return, so every path is
     emitted exactly once, at the moment it reaches *z*.
     """
-    if s not in g.vertices:
-        raise UnknownVertex(s)
-    if z not in g.vertices:
-        raise UnknownVertex(z)
+    check_vertex(g, s)
+    check_vertex(g, z)
     if s == z:
         return [TemporalWalk((s,), ())]
 

@@ -53,6 +53,10 @@ the first; :class:`BudgetExceeded` is raised as soon as they exceed it.
 The reported count is of distinct subsets reached, so it never exceeds
 the number of subsets of the searched sizes.
 
+The predicates :func:`is_snapshot_cut` and :func:`is_multiedge_cut` run
+the same check on the bits of their items, so this check is the
+package's one masked reachability question.
+
 All four searches (at most *h* or minimum, snapshot or multiedge) return
 one :class:`CutResult` shape: ``found``, ``value`` (the witness size),
 the witness in ``labels`` or ``multiedges``, and the work accounting.
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .core import TemporalGraph, _walk_avoiding, check_integer, check_terminals, pair_key
+from .core import TemporalGraph, check_integer, check_terminals, link_key, pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
 
@@ -94,41 +98,43 @@ class CutResult:
 
 def _candidate_table(view, key, order) -> tuple:
     """The candidates of a pair's view, the distinct ``key(e)`` of its
-    useful edges sorted by *order*, and the table its cut checks sweep:
-    the useful edges grouped by label in increasing order, in construction
-    order within a label, each as ``(u, v, bit of its candidate)``."""
+    useful edges sorted by *order*; the table its cut checks sweep: the
+    useful edges grouped by label in increasing order, in construction
+    order within a label, each as ``(u, v, bit of its candidate)``; and
+    the map from candidate to bit."""
     keys = [key(e) for e in view.useful]
     cand = tuple(sorted(set(keys), key=order))
     pos = {c: 1 << i for i, c in enumerate(cand)}
     by_label: dict = {}
     for e, c in zip(view.useful, keys):
         by_label.setdefault(e.t, []).append((e.u, e.v, pos[c]))
-    return cand, tuple(by_label[t] for t in sorted(by_label))
+    return cand, tuple(by_label[t] for t in sorted(by_label)), pos
 
 
 def _label_candidates(view) -> tuple:
     """The candidate labels of a pair's view, in increasing order, with
-    the table of their bits."""
+    the table and map of their bits."""
     return _candidate_table(view, lambda e: e.t, None)
 
 
 def _multiedge_candidates(view) -> tuple:
     """The candidate multiedges of a pair's view, as canonical vertex pairs
-    in order, with the table of their bits."""
+    in order, with the table and map of their bits."""
     return _candidate_table(view, lambda e: e.pair, pair_key)
 
 
 def _escape(table, s, z, picked: int) -> Optional[int]:
-    """The cut check of the hitting-set search: one sweep of a pair's
-    *table* from *s* that skips the edges whose bit is in *picked*, as
-    :func:`core._sweep` skips a removal mask, and stops at *z*.  Returns
+    """The package's one masked reachability check: one sweep of a pair's
+    *table* from *s*, in label order as :func:`core._sweep` runs, that
+    skips the edges whose bit is in *picked* and stops at *z*.  Returns
     the OR of the bits along *z*'s parent chain back to *s*, or ``None``
     when *picked* is a cut.
 
     Each reached vertex keeps the bits of its own chain.  The chain is
-    that of :func:`core._walk_avoiding` with those candidates' edges
-    removed: an edge outside the table reaches only vertices that cannot
-    reach *z* from that label on, so it is never a parent on the chain.
+    that of :func:`core.reachable` on the graph rebuilt without those
+    candidates' edges: an edge outside the table reaches only vertices
+    that cannot reach *z* from that label on, so it is never a parent on
+    the chain.
     """
     chain = {s: 0}
     for snap in table:
@@ -162,15 +168,18 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
     """Does removing every edge at the given labels separate z from s?
     Labels not in the graph remove nothing; an unhashable one raises
-    :class:`MalformedInput` naming it."""
+    :class:`MalformedInput` naming it.  Only candidate labels can change
+    the answer: a walk that survives a removal uses only edges on some
+    s,z-walk.  So this is the search's own check, of their bits."""
     check_terminals(g, s, z)
-    removed: set = set()
+    _, table, bit = g._pair(s, z).derived(_label_candidates)
+    picked = 0
     for t in labels:
         try:
-            removed.update(g.snapshot(t))
+            picked |= bit.get(t, 0)
         except TypeError:
             raise MalformedInput(f"label {t!r} is unhashable") from None
-    return _walk_avoiding(g, s, z, removed) is None
+    return _escape(table, s, z, picked) is None
 
 
 def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
@@ -184,16 +193,22 @@ def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
     """Does removing the given multiedges separate z from s?  A pair may
     come in either orientation; one that is not a multiedge raises
     :class:`MissingMultiedge`, and an item that is not two hashable
-    vertices raises :class:`MalformedInput` naming it."""
+    vertices, a string included, raises :class:`MalformedInput` naming
+    it.  As for :func:`is_snapshot_cut`, only candidates' bits are
+    checked."""
     check_terminals(g, s, z)
-    removed: set = set()
+    _, table, bit = g._pair(s, z).derived(_multiedge_candidates)
+    picked = 0
     for pair in pairs:
         try:
+            if isinstance(pair, (str, bytes)):
+                raise ValueError("a string is not a vertex pair")
             u, v = pair
-            removed.update(g.multiedge(u, v))
+            g.multiedge(u, v)
         except (TypeError, ValueError):
             raise MalformedInput(f"multiedge item {pair!r} is not a pair of vertices") from None
-    return _walk_avoiding(g, s, z, removed) is None
+        picked |= bit.get(link_key(u, v), 0)
+    return _escape(table, s, z, picked) is None
 
 
 def _subset_bound(n: int, h: int) -> int:
@@ -392,7 +407,7 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     if view.walk is None:
         witness, cand, checked, bound = frozenset(), (), 0, 1
     else:
-        cand, table = view.derived(
+        cand, table, _ = view.derived(
             _multiedge_candidates if multiedge else _label_candidates
         )
         escape = partial(_escape, table, s, z)

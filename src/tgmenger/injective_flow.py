@@ -25,9 +25,10 @@ returned.
 Both return one :class:`FlowResult`; ``injective_connectivity`` adds the
 minimum cut read off the same flow's residual graph: the labels of the
 edges whose unit arcs leave the part reachable from the source.  It is
-certified by its size, which must equal the flow value, and by one sweep
-that finds no s,z-walk once its edges are gone.  ``max_edge_disjoint_paths``
-leaves ``cut_labels`` ``None``.
+certified by its size, which must equal the flow value, and by
+:func:`~tgmenger.cuts.is_snapshot_cut`, the cut search's own check on the
+graph's view of the pair.  ``max_edge_disjoint_paths`` leaves
+``cut_labels`` ``None``.
 """
 
 from __future__ import annotations
@@ -39,14 +40,8 @@ from typing import Optional
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .core import (
-    TemporalGraph,
-    TemporalWalk,
-    _walk_avoiding,
-    check_family,
-    check_terminals,
-    token_key,
-)
+from .core import TemporalGraph, TemporalWalk, check_family, check_terminals, token_key
+from .cuts import is_snapshot_cut
 from .errors import NotInjective
 
 _SRC = ("src",)
@@ -190,6 +185,7 @@ def injective_connectivity(g: TemporalGraph, s, z) -> FlowResult:
         return FlowResult(0, (), frozenset())
     side = _residual_source_side(net, flow_dict)
     cut = {g.edge(u[1]) for u in side if u[0] == "in" and ("out", u[1]) not in side}
-    if len(cut) != len(family) or _walk_avoiding(g, s, z, cut) is not None:
+    labels = frozenset(e.t for e in cut)
+    if len(labels) != len(family) or not is_snapshot_cut(g, s, z, labels):
         raise AssertionError("the residual cut is not a snapshot cut of the flow's size")
-    return FlowResult(len(family), family, frozenset(e.t for e in cut))
+    return FlowResult(len(family), family, labels)

@@ -260,12 +260,33 @@ SZ_ENTRY_POINTS = [
 )
 def test_every_sz_solver_checks_its_terminals(demo, solver, extra):
     g = demo.graph
-    with pytest.raises(UnknownVertex):
-        solver(g, "nowhere", "z", *extra)
-    with pytest.raises(UnknownVertex):
-        solver(g, "s", "nowhere", *extra)
+    # An unhashable terminal is unknown too, not a TypeError.
+    for unknown in ("nowhere", ["s"], {}):
+        with pytest.raises(UnknownVertex):
+            solver(g, unknown, "z", *extra)
+        with pytest.raises(UnknownVertex):
+            solver(g, "s", unknown, *extra)
     with pytest.raises(MalformedInput):
         solver(g, "s", "s", *extra)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, v: reachable(g, v, "z"),
+        lambda g, v: reachable(g, "s", v),
+        lambda g, v: enumerate_paths(g, v, "z"),
+        lambda g, v: enumerate_paths(g, "s", v),
+        earliest_arrival,
+        latest_departure,
+        lambda g, v: validate_walk(g, [v]),
+        lambda g, v: validate_walk(g, ["s", "su2", v]),
+    ],
+)
+def test_every_vertex_argument_is_checked(demo, call):
+    for unknown in ("nowhere", ["s"], {}):
+        with pytest.raises(UnknownVertex):
+            call(demo.graph, unknown)
 
 
 class TestMGraph:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_temporal_graph, terminals
-from tgmenger import cuts
-from tgmenger.core import TemporalGraph, _walk_avoiding, link_key, reachable
+from tgmenger import core, cuts
+from tgmenger.core import TemporalGraph, reachable
 from tgmenger.disjoint_paths import max_snapshot_disjoint
 from tgmenger.errors import BudgetExceeded, MalformedInput, MissingMultiedge
 from tgmenger.gadgets import clique_gadget, vc_gadget
@@ -54,8 +54,9 @@ class TestPredicatesAndCandidates:
 
 
 class TestMaskedCheck:
-    """The cut checks sweep the graph with the removed edges masked; they
-    must answer as :func:`reachable` on the graph rebuilt without them."""
+    """The cut checks sweep the pair's table with the removed candidates'
+    bits masked; they must answer as :func:`reachable` on the graph
+    rebuilt without them."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -67,8 +68,6 @@ class TestMaskedCheck:
             labels = set(rng.sample(range(1, 8), rng.randint(0, 7)))
             rebuilt = reachable(g.without_labels(labels), s, z)
             assert cuts.is_snapshot_cut(g, s, z, labels) == (rebuilt is None)
-            removed = {e for e in g.edges if e.t in labels}
-            assert _walk_avoiding(g, s, z, removed) == rebuilt
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -82,27 +81,25 @@ class TestMaskedCheck:
             pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
             rebuilt = reachable(g.without_multiedges(pairs), s, z)
             assert cuts.is_multiedge_cut(g, s, z, pairs) == (rebuilt is None)
-            dropped = {link_key(u, v) for u, v in pairs}
-            removed = {e for e in g.edges if e.pair in dropped}
-            assert _walk_avoiding(g, s, z, removed) == rebuilt
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_bit_sweep_matches_masked_walk(self, seed):
         # The search's check sweeps the pair's table of candidate bits; its
-        # mask must be that of the walk the masked graph sweep finds.
+        # mask must be that of the walk reachable finds on the graph
+        # rebuilt without the picked candidates.
         g = random_temporal_graph(random.Random(seed))
         rng = random.Random(seed + 6)
         for s, z in terminals(g):
-            for build, key in (
-                (cuts._label_candidates, lambda e: e.t),
-                (cuts._multiedge_candidates, lambda e: e.pair),
+            for build, key, rebuild in (
+                (cuts._label_candidates, lambda e: e.t, g.without_labels),
+                (cuts._multiedge_candidates, lambda e: e.pair, g.without_multiedges),
             ):
-                cand, table = g._pair(s, z).derived(build)
+                cand, table, _ = g._pair(s, z).derived(build)
                 n = len(cand)
                 for picked in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(6))):
-                    gone = {c for i, c in enumerate(cand) if picked >> i & 1}
-                    walk = _walk_avoiding(g, s, z, {e for e in g.edges if key(e) in gone})
+                    gone = [c for i, c in enumerate(cand) if picked >> i & 1]
+                    walk = reachable(rebuild(gone), s, z)
                     mask = cuts._escape(table, s, z, picked)
                     if walk is None:
                         assert mask is None
@@ -111,8 +108,8 @@ class TestMaskedCheck:
                         assert mask == sum(1 << cand.index(c) for c in used)
 
     def test_one_table_per_kind_and_no_walk_per_check(self, monkeypatch):
-        # Every question on one pair reads the same two tables, and the
-        # searches check subsets by their table alone.
+        # Every question on one pair reads the same two tables and the
+        # view's two sweeps, and every check is a sweep of a table.
         inst = vc_gadget(range(4), list(itertools.combinations(range(4), 2)))
         g, s, z = inst.graph, inst.s, inst.z
         builds = []
@@ -131,26 +128,34 @@ class TestMaskedCheck:
             checks.append(1)
             return escape(*args)
 
-        def no_walk(*args):
-            raise AssertionError("a search check walked the graph")
+        sweeps = []
+        sweep = core._sweep
+
+        def counting_sweep(g, root, forward):
+            sweeps.append(forward)
+            return sweep(g, root, forward)
 
         monkeypatch.setattr(cuts, "_escape", counting_escape)
-        monkeypatch.setattr(cuts, "_walk_avoiding", no_walk)
+        monkeypatch.setattr(core, "_sweep", counting_sweep)
         for _ in range(2):
-            assert cuts.candidate_labels(g, s, z)
+            assert cuts.is_snapshot_cut(g, s, z, cuts.candidate_labels(g, s, z))
+            assert not cuts.is_multiedge_cut(g, s, z, [])
             assert cuts.candidate_multiedges(g, s, z)
+            assert reachable(g, s, z) is not None
             assert cuts.snapshot_cut_at_most(g, s, z, 1).found is False
             assert cuts.min_snapshot_cut(g, s, z).value == 2
             assert cuts.multiedge_cut_at_most(g, s, z, 6).found is False
             assert cuts.min_multiedge_cut(g, s, z).value == 7
         assert sorted(builds) == ["_label_candidates", "_multiedge_candidates"]
+        assert sweeps == [True, False]
         assert len(checks) > 8
 
     def test_malformed_items_are_rejected(self, demo):
         g, s, z = demo.graph, demo.s, demo.z
         with pytest.raises(MalformedInput, match=r"label \[1\] is unhashable"):
             cuts.is_snapshot_cut(g, s, z, [2, [1]])
-        for item in (("s",), ("s", "u", "w"), 5, (["s"], "u")):
+        # A string is not a pair even when its two characters name one.
+        for item in (("s",), ("s", "u", "w"), 5, (["s"], "u"), "su", b"su"):
             with pytest.raises(MalformedInput, match=f"multiedge item {re.escape(repr(item))} "):
                 cuts.is_multiedge_cut(g, s, z, [("s", "u"), item])
 
@@ -523,16 +528,21 @@ ANSWER_DIGEST = "5cd1a0c6bf5b6b8e84257a13c248fbf127264fb39af70a169ce50c655e1d96e
 SUBSETS_CHECKED = 9078
 
 
+def corpus_graph(i: int) -> tuple:
+    """The i-th of the 300 seeded corpus graphs (every fifth one larger),
+    with the generator it was drawn from."""
+    rng = random.Random(i)
+    if i % 5 == 4:
+        return rng, random_temporal_graph(rng, max_vertices=7, max_edges=12, max_label=6)
+    return rng, random_temporal_graph(rng)
+
+
 def corpus_answers():
     """(found, value, witness, candidates, subset_bound) of every cut search
-    at h = 0-3 and at the minimum, over 300 seeded random graphs (every
-    fifth one larger) and up to 4 terminal pairs each, with the result."""
+    at h = 0-3 and at the minimum, over the 300 corpus graphs and up to 4
+    terminal pairs each, with the result."""
     for i in range(300):
-        rng = random.Random(i)
-        if i % 5 == 4:
-            g = random_temporal_graph(rng, max_vertices=7, max_edges=12, max_label=6)
-        else:
-            g = random_temporal_graph(rng)
+        rng, g = corpus_graph(i)
         pairs = terminals(g)
         for s, z in rng.sample(pairs, min(4, len(pairs))):
             for field, at_most, minimum in (
@@ -560,6 +570,50 @@ def test_answers_match_recorded_digest():
         checked += res.subsets_checked
     assert digest.hexdigest() == ANSWER_DIGEST
     assert checked <= SUBSETS_CHECKED
+
+
+# sha256 of predicate_answers(), recorded before the predicates and
+# reachable read the pair's view instead of sweeping the graph.
+PREDICATE_DIGEST = "a411e1a837f22be40c657b780e86b991209cf11e94208771d8b149ff68f98dac"
+
+
+def predicate_answers():
+    """For every ordered terminal pair of the 300 corpus graphs: reachable's
+    witness sequence, then is_snapshot_cut on the empty set, all candidate
+    labels, labels outside the graph and seeded label sets that mix in
+    such labels, then is_multiedge_cut on the empty set, all candidate
+    multiedges and seeded multiedge sets in either orientation."""
+    for i in range(300):
+        g = corpus_graph(i)[1]
+        rng = random.Random(10**6 + i)
+        labels = sorted(g.labels)
+        outside = [0, g.lifetime + 1]
+        multiedges = sorted(g.multiedges())
+        for s, z in terminals(g):
+            walk = reachable(g, s, z)
+            yield None if walk is None else walk.sequence()
+            label_sets = [[], cuts.candidate_labels(g, s, z), outside]
+            for _ in range(4):
+                label_sets.append(rng.sample(labels + outside, rng.randint(0, len(labels) + 2)))
+            for items in label_sets:
+                yield cuts.is_snapshot_cut(g, s, z, items)
+            pair_sets = [[], cuts.candidate_multiedges(g, s, z)]
+            for _ in range(4):
+                pairs = rng.sample(multiedges, rng.randint(0, len(multiedges)))
+                pair_sets.append([p[::-1] if rng.random() < 0.5 else p for p in pairs])
+            for items in pair_sets:
+                yield cuts.is_multiedge_cut(g, s, z, items)
+
+
+def test_predicates_match_recorded_digest():
+    digest = hashlib.sha256()
+    seen = set()
+    for answer in predicate_answers():
+        digest.update(repr(answer).encode())
+        seen.add(answer if answer in (True, False, None) else "walk")
+    # The predicates answer both ways, and some pairs are unreachable.
+    assert seen == {True, False, None, "walk"}
+    assert digest.hexdigest() == PREDICATE_DIGEST
 
 
 # sha256 of (found, value, witness, candidates, subsets_checked) of every
