@@ -30,7 +30,7 @@ import time
 from functools import partial
 
 from . import cuts, disjoint_paths, formats, gadgets, injective_flow, oracles
-from .core import pair_key
+from .core import check_integer, pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
 from .fixtures import fixture_names, get_fixture
 from .mengerian import bad_labeling_for, extend_bad_labeling, recognize
@@ -180,8 +180,8 @@ def _cut_command(args, kind: str) -> int:
 
 
 def cmd_flow(args) -> int:
-    if args.k is not None and args.k < 1:
-        raise MalformedInput("k must be at least 1")
+    if args.k is not None:
+        check_integer("k", args.k, 1)
     g, s, z, name = _load_instance(args)
     if args.edge_disjoint:
         res, elapsed = _timed(injective_flow.max_edge_disjoint_paths, g, s, z)

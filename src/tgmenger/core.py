@@ -40,6 +40,14 @@ The module also provides :class:`MGraph`, the untimed multigraph skeleton
 (vertices, links, multiplicities) used by the recognition machinery, plus
 m-subdivision and a small-pattern topological-minor matcher that respects
 multiplicities.
+
+Every accessor of either graph looks its key up by one rule,
+:func:`_lookup`: a vertex, edge id or multiedge the graph does not hold,
+an unhashable one included, raises the matching :class:`MalformedInput`
+(:class:`UnknownVertex`, :class:`UnknownEdge` or
+:class:`MissingMultiedge`); ``snapshot`` and ``multiplicity`` answer a
+missing key with ``()`` and 0 and an unhashable one with plain
+:class:`MalformedInput`.
 """
 
 from __future__ import annotations
@@ -210,26 +218,17 @@ class TemporalGraph:
     # -- access -----------------------------------------------------------
 
     def edge(self, eid: EdgeId) -> Edge:
-        try:
-            return self._by_id[eid]
-        except KeyError:
-            raise UnknownEdge(eid) from None
+        return _lookup(self._by_id, eid, UnknownEdge)
 
     def incident(self, v: Vertex) -> tuple:
-        try:
-            return self._incident[v]
-        except KeyError:
-            raise UnknownVertex(v) from None
+        return _lookup(self._incident, v, UnknownVertex)
 
     def snapshot(self, t: int) -> tuple:
-        return self._snapshots.get(t, ())
+        """The edges at label *t*, ``()`` when none are."""
+        return _get(self._snapshots, t, (), "label")
 
     def multiedge(self, u: Vertex, v: Vertex) -> tuple:
-        pair = link_key(u, v)
-        try:
-            return self._multi[pair]
-        except KeyError:
-            raise MissingMultiedge(pair) from None
+        return _lookup(self._multi, link_key(u, v), MissingMultiedge)
 
     def multiedges(self) -> dict:
         """Map from canonical vertex pair to the tuple of parallel edges."""
@@ -259,15 +258,12 @@ class TemporalGraph:
     # -- restricted views --------------------------------------------------
 
     def without_labels(self, labels: Iterable[int]) -> "TemporalGraph":
-        removed = frozenset(labels)
+        removed = {t for t in labels if self.snapshot(t)}
         keep = [e for e in self.edges if e.t not in removed]
         return TemporalGraph(keep, vertices=self.vertices)
 
     def without_multiedges(self, pairs: Iterable[tuple]) -> "TemporalGraph":
-        dropped = {link_key(*p) for p in pairs}
-        for pair in dropped:
-            if pair not in self._multi:
-                raise MissingMultiedge(pair)
+        dropped = {self.multiedge(*p)[0].pair for p in pairs}
         keep = [e for e in self.edges if e.pair not in dropped]
         return TemporalGraph(keep, vertices=self.vertices)
 
@@ -525,15 +521,29 @@ def latest_departure(g: TemporalGraph, z: Vertex) -> dict:
     return _sweep(g, z, forward=False)[0]
 
 
+def _lookup(table: Mapping, key, missing):
+    """The lookup rule of every accessor: ``table[key]``, else the
+    exception ``missing(key)``, an unhashable *key* included."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise missing(key) from None
+
+
+def _get(table: Mapping, key, default, what: str):
+    """``table.get(key, default)`` for an accessor that answers a missing
+    key with a default; an unhashable *key* raises :class:`MalformedInput`
+    naming it as a *what*."""
+    try:
+        return table.get(key, default)
+    except TypeError:
+        raise MalformedInput(f"{what} {key!r} is unhashable") from None
+
+
 def check_vertex(g: TemporalGraph, v: Vertex) -> None:
     """The vertex rule of every public call: *v* is a vertex of *g*, else
     :class:`UnknownVertex`, an unhashable *v* included."""
-    try:
-        known = v in g.vertices
-    except TypeError:
-        known = False
-    if not known:
-        raise UnknownVertex(v)
+    g.incident(v)
 
 
 def check_terminals(g: TemporalGraph, s: Vertex, z: Vertex) -> None:
@@ -546,12 +556,14 @@ def check_terminals(g: TemporalGraph, s: Vertex, z: Vertex) -> None:
         raise MalformedInput("terminals must be distinct")
 
 
-def check_integer(name: str, value) -> int:
-    """The type rule of every search bound, returning the bound: an ``int``
-    that is not a ``bool``, as for edge labels (:class:`MalformedInput`
-    naming it)."""
+def check_integer(name: str, value, least: int) -> int:
+    """The rule of every integer bound, returning the bound: an ``int``
+    that is not a ``bool``, as for edge labels, and at least *least*
+    (:class:`MalformedInput` naming it)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise MalformedInput(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise MalformedInput(f"{name} must be at least {least}")
     return value
 
 
@@ -630,6 +642,8 @@ def enumerate_paths(
     """
     check_vertex(g, s)
     check_vertex(g, z)
+    if limit is not None:
+        check_integer("limit", limit, 0)
     if s == z:
         return [TemporalWalk((s,), ())]
 
@@ -712,13 +726,11 @@ class MGraph:
         return sum(self.links.values())
 
     def multiplicity(self, u: Vertex, v: Vertex) -> int:
-        return self.links.get(link_key(u, v), 0)
+        """The multiplicity of the link *uv*, 0 when there is none."""
+        return _get(self.links, link_key(u, v), 0, "vertex pair")
 
     def neighbors(self, v: Vertex) -> tuple:
-        try:
-            return self._nbrs[v]
-        except KeyError:
-            raise UnknownVertex(v) from None
+        return _lookup(self._nbrs, v, UnknownVertex)
 
     def underlying_degree(self, v: Vertex) -> int:
         return len(self.neighbors(v))
@@ -746,8 +758,7 @@ class MGraph:
 
     def drop_link(self, u: Vertex, v: Vertex) -> "MGraph":
         pair = link_key(u, v)
-        if pair not in self.links:
-            raise MissingMultiedge(pair)
+        _lookup(self.links, pair, MissingMultiedge)
         rest = {p: m for p, m in self.links.items() if p != pair}
         return MGraph(rest, vertices=self.vertices)
 
@@ -763,9 +774,7 @@ class MGraph:
         """Subdivide the link *uv*: replace its r parallel edges by a fresh
         vertex joined to *u* and to *v* by r parallel edges each."""
         pair = link_key(u, v)
-        if pair not in self.links:
-            raise MissingMultiedge(pair)
-        m = self.links[pair]
+        m = _lookup(self.links, pair, MissingMultiedge)
         fresh = f"{pair[0]}~{pair[1]}"
         while fresh in self.vertices:
             fresh += "'"

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .core import TemporalGraph, check_integer, check_terminals, link_key, pair_key
+from .core import TemporalGraph, _get, check_integer, check_terminals, link_key, pair_key
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MalformedInput
 
 
@@ -165,20 +165,30 @@ def candidate_labels(g: TemporalGraph, s, z) -> tuple:
     return g._pair(s, z).derived(_label_candidates)[0]
 
 
+def _collection(items, what: str):
+    """An iterator over a predicate's *items*, which must be a collection
+    and not a string (:class:`MalformedInput` naming them as *what*)."""
+    if not isinstance(items, (str, bytes)):
+        try:
+            return iter(items)
+        except TypeError:
+            pass
+    raise MalformedInput(f"{what} {items!r} is not a collection of items")
+
+
 def is_snapshot_cut(g: TemporalGraph, s, z, labels) -> bool:
     """Does removing every edge at the given labels separate z from s?
-    Labels not in the graph remove nothing; an unhashable one raises
+    *labels* is a collection such as a set, list or tuple; a string or a
+    non-iterable raises :class:`MalformedInput` naming it.  Labels not in
+    the graph remove nothing; an unhashable one raises
     :class:`MalformedInput` naming it.  Only candidate labels can change
     the answer: a walk that survives a removal uses only edges on some
     s,z-walk.  So this is the search's own check, of their bits."""
     check_terminals(g, s, z)
     _, table, bit = g._pair(s, z).derived(_label_candidates)
     picked = 0
-    for t in labels:
-        try:
-            picked |= bit.get(t, 0)
-        except TypeError:
-            raise MalformedInput(f"label {t!r} is unhashable") from None
+    for t in _collection(labels, "labels"):
+        picked |= _get(bit, t, 0, "label")
     return _escape(table, s, z, picked) is None
 
 
@@ -190,8 +200,9 @@ def candidate_multiedges(g: TemporalGraph, s, z) -> tuple:
 
 
 def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
-    """Does removing the given multiedges separate z from s?  A pair may
-    come in either orientation; one that is not a multiedge raises
+    """Does removing the given multiedges separate z from s?  *pairs* is
+    a collection, as for :func:`is_snapshot_cut`.  A pair may come in
+    either orientation; one that is not a multiedge raises
     :class:`MissingMultiedge`, and an item that is not two hashable
     vertices, a string included, raises :class:`MalformedInput` naming
     it.  As for :func:`is_snapshot_cut`, only candidates' bits are
@@ -199,15 +210,15 @@ def is_multiedge_cut(g: TemporalGraph, s, z, pairs) -> bool:
     check_terminals(g, s, z)
     _, table, bit = g._pair(s, z).derived(_multiedge_candidates)
     picked = 0
-    for pair in pairs:
+    for pair in _collection(pairs, "multiedges"):
         try:
             if isinstance(pair, (str, bytes)):
-                raise ValueError("a string is not a vertex pair")
+                raise TypeError
             u, v = pair
-            g.multiedge(u, v)
+            picked |= bit.get(link_key(u, v), 0)
         except (TypeError, ValueError):
             raise MalformedInput(f"multiedge item {pair!r} is not a pair of vertices") from None
-        picked |= bit.get(link_key(u, v), 0)
+        g.multiedge(u, v)
     return _escape(table, s, z, picked) is None
 
 
@@ -394,14 +405,11 @@ def _cut_search(g, s, z, h, budget, multiedge: bool) -> CutResult:
     """The steps all four cut searches share: validate, answer the empty
     cut when *z* is already unreachable, then run the hitting-set search
     over the candidates.  ``h=None`` asks for a minimum cut; the two
-    at-most searches check that their *h* is an integer.  The first
-    walk and the candidates come from the graph's view of the pair, so
-    only the search itself is repeated when a pair is asked again.
+    at-most searches check their *h*.  The first walk and the candidates
+    come from the graph's view of the pair, so only the search itself is
+    repeated when a pair is asked again.
     """
-    if h is not None and h < 0:
-        raise MalformedInput("cut size bound must be >= 0")
-    if check_integer("budget", budget) < 0:
-        raise MalformedInput("budget must be at least 0")
+    check_integer("budget", budget, 0)
     check_terminals(g, s, z)
     view = g._pair(s, z)
     if view.walk is None:
@@ -441,7 +449,7 @@ def snapshot_cut_at_most(
 ) -> CutResult:
     """Is there a snapshot cut of size at most *h*?  Witness is the
     lexicographically least minimum-size one if so."""
-    return _cut_search(g, s, z, check_integer("cut size bound", h), budget, multiedge=False)
+    return _cut_search(g, s, z, check_integer("cut size bound", h, 0), budget, multiedge=False)
 
 
 def min_snapshot_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:
@@ -456,7 +464,7 @@ def multiedge_cut_at_most(
     g: TemporalGraph, s, z, h: int, budget: int = DEFAULT_BUDGET
 ) -> CutResult:
     """Is there a multiedge cut of size at most *h*?"""
-    return _cut_search(g, s, z, check_integer("cut size bound", h), budget, multiedge=True)
+    return _cut_search(g, s, z, check_integer("cut size bound", h, 0), budget, multiedge=True)
 
 
 def min_multiedge_cut(g: TemporalGraph, s, z, budget: int = DEFAULT_BUDGET) -> CutResult:

@@ -41,8 +41,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TemporalGraph, _walk_back, check_family, check_integer, check_terminals
+from .core import (
+    TemporalGraph, _lookup, _walk_back, check_family, check_integer, check_terminals
+)
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LimitExceeded, MalformedInput
+from .formats import _dot_id
 
 DOT_VERTEX_LIMIT = 500
 
@@ -65,10 +68,8 @@ def check_question(g: TemporalGraph, s, z, k: int, budget: int) -> None:
     """The input rule of every packing question: the terminal rule, an
     integer k of at least 1 and an integer budget of at least 0
     (:class:`MalformedInput`)."""
-    if check_integer("k", k) < 1:
-        raise MalformedInput("k must be at least 1")
-    if check_integer("budget", budget) < 0:
-        raise MalformedInput("budget must be at least 0")
+    check_integer("k", k, 1)
+    check_integer("budget", budget, 0)
     check_terminals(g, s, z)
 
 
@@ -131,10 +132,9 @@ class ProductDigraph:
 
     def member_index(self, token) -> int:
         """Index of an edge id or of the SOURCE/SINK sentinel."""
-        try:
-            return self._index[token]
-        except (KeyError, TypeError):
-            raise MalformedInput(f"no product member for token {token!r}") from None
+        return _lookup(
+            self._index, token, lambda t: MalformedInput(f"no product member for token {t!r}")
+        )
 
     def tuple_of(self, tokens) -> tuple:
         vt = tuple(self.member_index(t) for t in tokens)
@@ -220,7 +220,7 @@ class ProductDigraph:
         parents, arcs = self._reach(max_vertices)
 
         def name(vt):
-            return '"(' + ",".join(self._token_name(ix) for ix in vt) + ')"'
+            return _dot_id("(" + ",".join(self._token_name(ix) for ix in vt) + ")")
 
         order = sorted(parents)
         lines = ["digraph product {"]

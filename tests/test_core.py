@@ -1,15 +1,17 @@
 """Temporal graph container, walks, traversal, and the multigraph layer."""
 
+import ast
 import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_multigraphs_up_to_iso, random_mgraph, random_temporal_graph
-from tgmenger import cuts, oracles
+from tgmenger import core, cuts, oracles
 from tgmenger.core import (
     INF,
     MGraph,
@@ -190,6 +192,15 @@ class TestTraversal:
         with pytest.raises(LimitExceeded):
             enumerate_paths(demo.graph, "s", "z", limit=2)
 
+    @pytest.mark.parametrize(
+        "limit, message",
+        [("x", "limit must be an integer"), (True, "limit must be an integer"),
+         (-1, "limit must be at least 0")],
+    )
+    def test_enumerate_paths_limit_is_checked(self, demo, limit, message):
+        with pytest.raises(MalformedInput, match=f"^{message}"):
+            enumerate_paths(demo.graph, "s", "z", limit=limit)
+
     def test_enumerate_paths_in_documented_order(self):
         total = 0
         for seed in range(300):
@@ -287,6 +298,74 @@ def test_every_vertex_argument_is_checked(demo, call):
     for unknown in ("nowhere", ["s"], {}):
         with pytest.raises(UnknownVertex):
             call(demo.graph, unknown)
+
+
+# Each accessor called with an unhashable key, and the class it raises for
+# a key it does not hold; snapshot and multiplicity answer a missing key
+# with () and 0, so they raise plain MalformedInput.
+UNHASHABLE_KEYS = [
+    pytest.param(lambda g, mg: g.edge(["su2"]), UnknownEdge, id="edge"),
+    pytest.param(lambda g, mg: g.incident(["s"]), UnknownVertex, id="incident"),
+    pytest.param(lambda g, mg: g.multiedge("s", ["u"]), MissingMultiedge, id="multiedge"),
+    pytest.param(lambda g, mg: g.snapshot([2]), MalformedInput, id="snapshot"),
+    pytest.param(lambda g, mg: mg.neighbors(["s"]), UnknownVertex, id="neighbors"),
+    pytest.param(lambda g, mg: mg.multiplicity("s", ["u"]), MalformedInput, id="multiplicity"),
+    pytest.param(lambda g, mg: mg.degree(["s"]), UnknownVertex, id="degree"),
+    pytest.param(lambda g, mg: mg.drop_link("s", ["u"]), MissingMultiedge, id="drop_link"),
+    pytest.param(lambda g, mg: mg.m_subdivide("s", ["u"]), MissingMultiedge, id="m_subdivide"),
+    pytest.param(
+        lambda g, mg: validate_walk(g, ["s", ["su2"], "u"]), UnknownEdge, id="validate_walk"
+    ),
+    pytest.param(
+        lambda g, mg: walk_from_labels(g, ["s", 2, ["u"]]), MissingMultiedge, id="walk_from_labels"
+    ),
+    pytest.param(
+        lambda g, mg: g.without_multiedges([("s", ["x"])]), MissingMultiedge, id="without_multiedges"
+    ),
+    pytest.param(lambda g, mg: g.without_labels([2, [3]]), MalformedInput, id="without_labels"),
+]
+
+
+@pytest.mark.parametrize("call, error", UNHASHABLE_KEYS)
+def test_an_unhashable_key_raises_the_missing_key_class(demo, call, error):
+    g = demo.graph
+    with pytest.raises(error) as info:
+        call(g, g.underlying())
+    if error is MalformedInput:
+        assert type(info.value) is MalformedInput
+        assert "is unhashable" in str(info.value)
+
+
+def _handlers_naming(path: Path, names: set) -> list:
+    """The qualified names of the functions in *path* with an ``except``
+    handler that names one of *names*, or a bare one."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.ExceptHandler):
+                caught = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for n in ast.walk(child.type)
+                } if child.type else names
+                if caught & names:
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_one_lookup_rule():
+    # Only core._lookup turns a missing key into an error.  _PairView.derived
+    # catches a cache miss of its own table, not a key from the caller.
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        found += _handlers_naming(path, {"KeyError", "LookupError"})
+    assert sorted(found) == ["core._PairView.derived", "core._lookup"]
 
 
 class TestMGraph:

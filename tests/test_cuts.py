@@ -159,6 +159,20 @@ class TestMaskedCheck:
             with pytest.raises(MalformedInput, match=f"multiedge item {re.escape(repr(item))} "):
                 cuts.is_multiedge_cut(g, s, z, [("s", "u"), item])
 
+    @pytest.mark.parametrize("items", ["23", b"23", None, 5], ids=["str", "bytes", "None", "int"])
+    def test_a_string_or_non_iterable_collection_is_rejected(self, demo, items):
+        # "23" is not the labels 2 and 3, which do cut the demo graph.
+        g, s, z = demo.graph, demo.s, demo.z
+        for predicate, what in ((cuts.is_snapshot_cut, "labels"), (cuts.is_multiedge_cut, "multiedges")):
+            with pytest.raises(MalformedInput, match=f"^{what} {re.escape(repr(items))} "):
+                predicate(g, s, z, items)
+
+    def test_sets_lists_and_tuples_are_collections(self, demo):
+        g, s, z = demo.graph, demo.s, demo.z
+        for kind in (set, frozenset, list, tuple):
+            assert cuts.is_snapshot_cut(g, s, z, kind([2, 3]))
+            assert cuts.is_multiedge_cut(g, s, z, kind([("s", "u"), ("w", "s")]))
+
     def test_labels_outside_the_graph_remove_nothing(self, demo):
         g, s, z = demo.graph, demo.s, demo.z
         assert not cuts.is_snapshot_cut(g, s, z, {99, 100})
@@ -255,6 +269,14 @@ class TestSnapshotCut:
     def test_bounds_must_be_integers(self, demo, solve, name):
         with pytest.raises(MalformedInput, match=f"^{name} must be an integer"):
             solve(demo.graph, demo.s, demo.z)
+
+    def test_bounds_have_a_floor(self, demo):
+        g, s, z = demo.graph, demo.s, demo.z
+        for solve in (cuts.snapshot_cut_at_most, cuts.multiedge_cut_at_most):
+            with pytest.raises(MalformedInput, match="^cut size bound must be at least 0$"):
+                solve(g, s, z, -1)
+            with pytest.raises(MalformedInput, match="^budget must be at least 0$"):
+                solve(g, s, z, 1, budget=-1)
 
     def test_long_path_does_not_recurse(self):
         g = TemporalGraph([(i, i, i + 1, i + 1) for i in range(1200)])

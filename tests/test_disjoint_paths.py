@@ -266,6 +266,13 @@ class TestDot:
         assert len(set(expanded)) == len(expanded) <= 501
         assert prod.reachable_tuples is None
 
+    def test_dot_quotes_token_names(self):
+        g = TemporalGraph([('s"a', "s", "a", 1), ("a\\z", "a", "z", 2)])
+        dot = ProductDigraph(g, "s", "z", 1).to_dot()
+        assert '  "(s\\"a)";' in dot
+        assert '  "(a\\\\z)";' in dot
+        assert '"(s"a)"' not in dot
+
     def test_dot_text_is_unchanged(self, demo, two_route):
         # sha256 of the k = 2 dumps as written when the dump read the arcs
         # stored by a full exploration.
