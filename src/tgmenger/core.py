@@ -158,7 +158,7 @@ class TemporalGraph:
         built = []
         by_id: dict = {}
         seen_slot: dict = {}
-        verts = set(vertices)
+        verts = _vertex_set(vertices)
         for item in edges:
             try:
                 e = item if isinstance(item, Edge) else Edge(*item)
@@ -263,7 +263,10 @@ class TemporalGraph:
         return TemporalGraph(keep, vertices=self.vertices)
 
     def without_multiedges(self, pairs: Iterable[tuple]) -> "TemporalGraph":
-        dropped = {self.multiedge(*p)[0].pair for p in pairs}
+        """The graph less the multiedges *pairs*; an item that is not a
+        pair of vertices, a string included, raises :class:`MalformedInput`
+        naming it."""
+        dropped = {self.multiedge(*_vertex_pair(p))[0].pair for p in pairs}
         keep = [e for e in self.edges if e.pair not in dropped]
         return TemporalGraph(keep, vertices=self.vertices)
 
@@ -540,6 +543,30 @@ def _get(table: Mapping, key, default, what: str):
         raise MalformedInput(f"{what} {key!r} is unhashable") from None
 
 
+def _vertex_set(vertices: Iterable) -> set:
+    """The set of *vertices*; an unhashable one raises
+    :class:`MalformedInput` naming it."""
+    verts = set()
+    for v in vertices:
+        try:
+            verts.add(v)
+        except TypeError:
+            raise MalformedInput(f"vertex {v!r} is unhashable") from None
+    return verts
+
+
+def _vertex_pair(item) -> tuple:
+    """The two ends of a multiedge *item*, else :class:`MalformedInput`
+    naming it; a string is not a pair even when it has two characters."""
+    try:
+        if isinstance(item, (str, bytes)):
+            raise TypeError
+        u, v = item
+    except (TypeError, ValueError):
+        raise MalformedInput(f"multiedge item {item!r} is not a pair of vertices") from None
+    return u, v
+
+
 def check_vertex(g: TemporalGraph, v: Vertex) -> None:
     """The vertex rule of every public call: *v* is a vertex of *g*, else
     :class:`UnknownVertex`, an unhashable *v* included."""
@@ -706,7 +733,7 @@ class MGraph:
                 )
             acc[pair] = before + m
         self.links: dict = acc
-        verts = set(vertices)
+        verts = _vertex_set(vertices)
         for u, v in acc:
             verts.add(u)
             verts.add(v)
@@ -765,9 +792,9 @@ class MGraph:
     def set_multiplicity(self, u: Vertex, v: Vertex, m: int) -> "MGraph":
         if m == 0:
             return self.drop_link(u, v)
-        pair = link_key(u, v)
+        _vertex_set((u, v))  # an unhashable end is named, not a TypeError
         new = dict(self.links)
-        new[pair] = m
+        new[link_key(u, v)] = m
         return MGraph(new, vertices=self.vertices)
 
     def m_subdivide(self, u: Vertex, v: Vertex) -> "MGraph":

@@ -13,6 +13,9 @@ The second half of the module implements the semantic side of the
 Mengerian question for untimed multigraphs: sweep *every* order type of
 timefunction (weak orders over the edge set), compute the packing and
 covering numbers for each, and report a violating labeling if one exists.
+Parallel copies of a link are interchangeable, so the sweep visits one
+pattern per orbit of permuting a link's copies, the one whose copy labels
+strictly increase; it generates those patterns directly.
 This is the independent instrument the recognition routine is judged
 against, so it deliberately shares no code with it: of the package it
 imports only the graph types and the errors.  Gap verdicts are cached per
@@ -262,36 +265,86 @@ def find_multicolored_clique(coloring: dict, edges: Iterable[tuple]) -> Optional
 # -- label-pattern sweep (semantic Mengerian test) ------------------------------
 
 
-@lru_cache(maxsize=None)
 def all_label_patterns(m: int) -> tuple:
     """Every order type of an m-edge timefunction: all weak orders of m
     slots, encoded as label tuples over 1..q for some q <= m.
 
     The count is the m-th Fubini number (1, 1, 3, 13, 75, 541, 4683,
-    47293, ...), which is why the sweep is capped at 8 edges.
+    47293, ...), which is why the sweep is capped at 8 edges.  These are
+    the patterns of m single links; the sweep itself visits one pattern
+    per orbit of permuting a link's parallel copies
+    (:func:`_label_patterns`).
     """
+    return _label_patterns((1,) * m)
+
+
+@lru_cache(maxsize=None)
+def _label_patterns(mults: tuple) -> tuple:
+    """The sweep's patterns for links of multiplicities *mults*, whose
+    copies take consecutive slots: the weak orders of the slots in which
+    each link's copy labels strictly increase, one per orbit of permuting
+    a link's copies (the labels must differ for snapshots to stay simple,
+    and p and c see only label sets).  They come in the order of
+    :func:`all_label_patterns`: set partitions of the slots by the
+    recursion below, each with its block orders in lexicographic order.
+    """
+    m = sum(mults)
     if m > 8:
         raise PatternTooLarge("label-pattern sweep supports at most 8 edges")
     if m == 0:
         return ((),)
+    first = []  # per slot, the first slot of its link
+    for mult in mults:
+        first += [len(first)] * mult
+    block_of = [0] * m
     out = []
 
     def partitions(i: int, blocks: list):
         if i == m:
-            for order in itertools.permutations(range(len(blocks))):
-                pattern = [0] * m
-                for rank, b in enumerate(order):
-                    for slot in blocks[b]:
-                        pattern[slot] = rank + 1
-                out.append(tuple(pattern))
+            orders(blocks)
             return
-        for b in blocks:
-            b.append(i)
-            partitions(i + 1, blocks)
-            b.pop()
+        for j, b in enumerate(blocks):
+            # A block holding a copy of slot i's link ends in one, as a
+            # link's slots are consecutive.
+            if b[-1] < first[i]:
+                block_of[i] = j
+                b.append(i)
+                partitions(i + 1, blocks)
+                b.pop()
+        block_of[i] = len(blocks)
         blocks.append([i])
         partitions(i + 1, blocks)
         blocks.pop()
+
+    def orders(blocks: list):
+        k = len(blocks)
+        # before[b]: the blocks holding the previous copy of a copy in b.
+        before = [0] * k
+        for slot in range(m):
+            if first[slot] < slot:
+                before[block_of[slot]] |= 1 << block_of[slot - 1]
+        pattern = [0] * m
+        order: list = []
+        placed = 0
+        tries = [0]  # per rank, the next block to try there
+        while tries:
+            b = tries[-1]
+            while b < k and (placed >> b & 1 or before[b] & ~placed):
+                b += 1
+            if b == k:
+                tries.pop()
+                if order:
+                    placed ^= 1 << order.pop()
+                continue
+            tries[-1] = b + 1
+            for slot in blocks[b]:
+                pattern[slot] = len(tries)
+            if len(tries) == k:
+                out.append(tuple(pattern))
+            else:
+                order.append(b)
+                placed |= 1 << b
+                tries.append(0)
 
     partitions(0, [])
     return tuple(out)
@@ -392,7 +445,6 @@ def _sweep(mg: MGraph) -> Optional[tuple]:
     ``(s, z, labels per link)`` triple in pattern, then pair, order or
     ``None``.  Gap tests go through the cached :func:`_gap_open`."""
     links = mg.sorted_links()
-    m = mg.size()
     slot_of: list = []
     base = 0
     for _, mult in links:
@@ -407,15 +459,7 @@ def _sweep(mg: MGraph) -> Optional[tuple]:
     ]
     if not sweeps:
         return None
-    increasing_runs = [
-        (slots[i], slots[i + 1]) for slots in slot_of for i in range(len(slots) - 1)
-    ]
-    for pattern in all_label_patterns(m):
-        # Canonical representative per orbit of permuting a link's parallel
-        # copies: copy labels strictly increase (they must be distinct for
-        # snapshots to stay simple, and p/c only see the label sets).
-        if any(pattern[a] >= pattern[b] for a, b in increasing_runs):
-            continue
+    for pattern in _label_patterns(tuple(mult for _, mult in links)):
         link_labels = [tuple(pattern[i] for i in slots) for slots in slot_of]
         for s, z, paths in sweeps:
             masks: set = set()

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import random
+import re
 import time
 from pathlib import Path
 
@@ -114,6 +115,11 @@ class TestConstruction:
         assert all(e.pair != ("u", "z") for e in h.edges)
         with pytest.raises(MissingMultiedge):
             demo.graph.without_multiedges([("s", "z")])
+        # An item that is not a pair is named, as is_multiedge_cut names it;
+        # a string is not a pair even when its two characters name one.
+        for item in (("s",), ("s", "u", "w"), 5, "su"):
+            with pytest.raises(MalformedInput, match=f"^multiedge item {re.escape(repr(item))} "):
+                demo.graph.without_multiedges([("s", "u"), item])
 
 
 class TestWalks:
@@ -334,6 +340,21 @@ def test_an_unhashable_key_raises_the_missing_key_class(demo, call, error):
     if error is MalformedInput:
         assert type(info.value) is MalformedInput
         assert "is unhashable" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: TemporalGraph([], vertices=[["a"]]), id="TemporalGraph"),
+        pytest.param(lambda g: MGraph([], vertices=["b", ["a"]]), id="MGraph"),
+        pytest.param(
+            lambda g: g.underlying().set_multiplicity("s", ["a"], 2), id="set_multiplicity"
+        ),
+    ],
+)
+def test_an_unhashable_vertex_is_named(demo, call):
+    with pytest.raises(MalformedInput, match=r"^vertex \['a'\] is unhashable$"):
+        call(demo.graph)
 
 
 def _handlers_naming(path: Path, names: set) -> list:

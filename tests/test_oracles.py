@@ -166,10 +166,52 @@ class TestSetHelpers:
         assert find_multicolored_clique(split, [(0, 1)]) is None
 
 
+# sha256 of all_label_patterns(m) for m = 0..7, one repr line each,
+# recorded from the version that generated every weak order and filtered.
+LABEL_PATTERN_DIGEST = "4fceeb9a95ed0d37a5fc25855b1f3039cf532ae596ae9df108968c77712929e4"
+
+
+def _multiplicity_tuples(total: int):
+    """Every tuple of positive multiplicities summing to *total*."""
+    if total == 0:
+        yield ()
+    for head in range(1, total + 1):
+        for rest in _multiplicity_tuples(total - head):
+            yield (head,) + rest
+
+
 class TestLabelPatterns:
     def test_fubini_counts(self):
-        # weak orderings of m items: 1, 1, 3, 13, 75, 541
-        assert [len(all_label_patterns(m)) for m in range(6)] == [1, 1, 3, 13, 75, 541]
+        # weak orderings of m items: 1, 1, 3, 13, 75, 541, 4683, 47293
+        assert [len(all_label_patterns(m)) for m in range(8)] == [
+            1, 1, 3, 13, 75, 541, 4683, 47293
+        ]
+
+    def test_patterns_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for m in range(8):
+            digest.update(repr(all_label_patterns(m)).encode() + b"\n")
+        assert digest.hexdigest() == LABEL_PATTERN_DIGEST
+
+    def test_sweep_patterns_are_the_filtered_weak_orders(self):
+        # For links of multiplicities mults (copies on consecutive slots),
+        # the sweep's patterns are exactly the weak orders in which each
+        # copy's label is below the next copy's, in the same order.
+        tuples = 0
+        for m in range(8):
+            patterns = all_label_patterns(m)
+            rises = [
+                sum(1 << i for i in range(m - 1) if p[i] < p[i + 1]) for p in patterns
+            ]
+            for mults in _multiplicity_tuples(m):
+                need, base = 0, 0
+                for mult in mults:
+                    need |= ((1 << (mult - 1)) - 1) << base
+                    base += mult
+                kept = tuple(p for p, r in zip(patterns, rises) if not need & ~r)
+                assert oracles._label_patterns(mults) == kept, mults
+                tuples += 1
+        assert tuples == 128
 
     def test_patterns_cover_all_order_types(self):
         pats = all_label_patterns(2)
@@ -178,6 +220,27 @@ class TestLabelPatterns:
     def test_guard(self):
         with pytest.raises(PatternTooLarge):
             all_label_patterns(9)
+        # Nine edges are too many however they split into links, even
+        # when the copies leave a single canonical pattern.
+        for mg in (
+            MGraph([(0, 1, 9)]),
+            MGraph([(0, 1, 3), (1, 2, 2), (2, 3, 2), (3, 0, 2)]),
+        ):
+            with pytest.raises(PatternTooLarge):
+                semantic_is_mengerian(mg)
+
+
+def _semantic_digest_pool() -> list:
+    """The 90 multigraphs of the semantic digests: every connected one
+    with at most 4 vertices and 6 edges, then each catalog shape followed
+    by its copies with one link's multiplicity lowered by one."""
+    graphs = list(enumerate_connected_multigraphs(4, 6))
+    for code in ("M1", "M2", "M3", "M4", "M5"):
+        shape = catalog_entry(code).shape
+        graphs.append(shape)
+        for (a, b), mult in shape.sorted_links():
+            graphs.append(shape.set_multiplicity(a, b, mult - 1))
+    return graphs
 
 
 SEMANTIC_WITNESS_DIGEST = "bc2b0629114e800aa6c71a57d9b04a75268e9d496e6c3795796d8582a3888d27"
@@ -215,18 +278,30 @@ class TestSemanticSweep:
     def test_violations_match_recorded_digest(self):
         # sha256 of each sweep witness (terminals and sorted labeled edges)
         # or None, recorded before gap verdicts were cached per mask family.
-        graphs = list(enumerate_connected_multigraphs(4, 6))
-        for code in ("M1", "M2", "M3", "M4", "M5"):
-            shape = catalog_entry(code).shape
-            graphs.append(shape)
-            for (a, b), mult in shape.sorted_links():
-                graphs.append(shape.set_multiplicity(a, b, mult - 1))
         digest = hashlib.sha256()
-        for mg in graphs:
+        for mg in _semantic_digest_pool():
             bad = find_semantic_violation(mg)
             seen = None if bad is None else (bad.s, bad.z, sorted(bad.labeling.edges))
             digest.update(repr(seen).encode() + b"\n")
         assert digest.hexdigest() == SEMANTIC_WITNESS_DIGEST
+
+    def test_sweep_work_matches_recorded_count(self, monkeypatch):
+        # Calls of _realizable_masks over the digest pool from an empty
+        # verdict memo, recorded from the version that generated every
+        # weak order and filtered: the sweep meets the same canonical
+        # patterns in the same order, so it does the same work.
+        monkeypatch.setattr(oracles, "_VERDICT_MEMO", {})
+        calls = []
+        realizable = oracles._realizable_masks
+
+        def counting(*args):
+            calls.append(None)
+            return realizable(*args)
+
+        monkeypatch.setattr(oracles, "_realizable_masks", counting)
+        for mg in _semantic_digest_pool():
+            find_semantic_violation(mg)
+        assert len(calls) == 91_311
 
     def test_gap_open_examples(self):
         # Three pairwise-meeting label sets: packing 1, covering 2.

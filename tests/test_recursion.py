@@ -13,7 +13,7 @@ BOUNDED_RECURSIONS = {
     ("core", "assign"),
     # One level per pattern link: at most 12 (_PATTERN_MAX_EDGES).
     ("core", "embed_links"),
-    # One level per slot of all_label_patterns: at most 8 edges.
+    # One level per slot of _label_patterns: at most 8 edges.
     ("oracles", "partitions"),
     # One level per path vertex in _structural_paths: at most 8, the
     # vertex cap canonical_form enforces before the sweep runs.
